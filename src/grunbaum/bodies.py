@@ -95,6 +95,8 @@ class Polytope:
         for v in verts:
             if len(v) != self.dim:
                 raise ValueError(f"vertex {v} does not have {self.dim} coordinates")
+            if not all(math.isfinite(x) for x in v):
+                raise ValueError(f"vertex {v} has a non-finite coordinate")
         object.__setattr__(self, "vertices", verts)
 
     def vertex_array(self) -> np.ndarray:
@@ -119,6 +121,8 @@ class AnalyticProfile:
         knots = tuple((float(t), float(r)) for t, r in self.knots)
         if len(knots) < 2:
             raise ValueError("a profile needs at least two knots")
+        if not all(math.isfinite(t) and math.isfinite(r) for t, r in knots):
+            raise ValueError("knot heights and radii must be finite")
         ts = [t for t, _ in knots]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("knot heights must be strictly increasing")

@@ -77,13 +77,32 @@ def body_to_obj(body: Body, knot_budget: int = 129) -> dict:
     return {"type": "profile", "dim": body.dim, "knots": [[t, r] for t, r in body.knots]}
 
 
-def body_from_obj(obj: dict) -> Body:
-    kind = obj.get("type")
+def _rows(obj: dict, key: str, width: int) -> tuple:
+    """``obj[key]`` as a tuple of ``width``-tuples of floats."""
+    rows = obj.get(key)
+    shaped = isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == width and all(type(x) in (int, float) for x in row)
+        for row in rows
+    )
+    if not shaped:
+        raise ValueError(f"{key!r} must be a list of lists of {width} numbers")
+    try:
+        return tuple(tuple(float(x) for x in row) for row in rows)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{key!r} holds a number too large for a float") from exc
+
+
+def body_from_obj(obj) -> Body:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a body must be a JSON object, got {type(obj).__name__}")
+    kind, dim = obj.get("type"), obj.get("dim")
+    if kind not in ("polytope", "profile"):
+        raise ValueError(f"unknown body type {kind!r}")
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if kind == "polytope":
-        return Polytope(int(obj["dim"]), tuple(tuple(v) for v in obj["vertices"]))
-    if kind == "profile":
-        return AnalyticProfile(int(obj["dim"]), tuple((t, r) for t, r in obj["knots"]))
-    raise ValueError(f"unknown body type {kind!r}")
+        return Polytope(dim, _rows(obj, "vertices", dim))
+    return AnalyticProfile(dim, _rows(obj, "knots", 2))
 
 
 def load_body(path: str) -> Body:
@@ -125,7 +144,7 @@ def _parse_direction(spec: str, dim: int) -> Direction:
 
 def cmd_constants(args) -> int:
     try:
-        triple = constants.bounds(args.alpha, args.n, args.tol)
+        triple = constants.bounds(args.alpha, args.n)
     except ValueError as exc:
         return _fail(str(exc), 2)
     obj = {
@@ -150,7 +169,7 @@ def cmd_sweep(args) -> int:
         )
     lines = ["alpha,c1,c2,d,lambda0"]
     for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
-        triple = constants.bounds(float(alpha), args.n, args.tol)
+        triple = constants.bounds(float(alpha), args.n)
         lines.append(
             f"{float(alpha)!r},{triple.c1!r},{triple.c2.value!r},{triple.d!r},"
             f"{_fmt_lambda(triple.c2.argmax_lambda)!s}"
@@ -161,7 +180,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     try:
         body = load_body(args.body)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot parse body file {args.body}: {exc}", 2)
     problems = validate(body)
     if problems:
@@ -222,7 +241,7 @@ def cmd_extremal(args) -> int:
         elif args.kind == "lower":
             body = extremal.lower_extremizer(args.alpha, args.n)
         elif args.kind == "upper":
-            body = extremal.upper_extremizer(args.alpha, args.n, args.tol)
+            body = extremal.upper_extremizer(args.alpha, args.n)
         elif args.kind == "t5-cone":
             if args.alpha > 1.0 / args.n:
                 body = extremal.reflected_grunbaum_cone(args.n)
@@ -243,7 +262,7 @@ def cmd_extremal(args) -> int:
 def cmd_symmetrize(args) -> int:
     try:
         body = load_body(args.body)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot parse body file {args.body}: {exc}", 2)
     try:
         direction = (
@@ -271,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="print c1, c2, d at (alpha, n) as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("sweep", help="tabulate the constants over an alpha range as CSV")
@@ -280,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run all bound checks on a body file")
@@ -298,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=None, help="base height for double-cone")
     p.add_argument("--lam", type=float, default=None, help="homothety ratio for truncated-cone")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_extremal)
 

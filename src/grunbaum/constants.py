@@ -11,8 +11,9 @@ intercept to its slope) on (-inf, -1] U [0, inf).  Evaluating the cut
 fraction directly in z cancels catastrophically for large |z|, so
 internally every cone is reparametrized by s in [0, 1] via its homothety
 coefficient lambda = 1 + 1/z, s = lambda/(1+lambda): the radius is then
-r(t) = (1-s)(1-t) + s*t on [0, 1] and all integrals become short binomial
-sums that are stable on the whole closed interval, slab (s=1/2) and cone
+r(t) = (1-s)(1-t) + s*t on [0, 1], a two-knot profile whose integrals come
+from the same cancellation-free kernel as every profile body in
+``measure``, on the whole closed interval, slab (s=1/2) and cone
 (s in {0, 1}) endpoints included.
 """
 
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .measure import _golden_max, _lin_pow_integrals
 
 #: method tags for C2Result
 CLOSED_FORM_NEG_ALPHA = "closed_form_neg_alpha"
@@ -128,36 +131,21 @@ def _s_to_lambda(s: float) -> float:
     return s / (1.0 - s)
 
 
-def _cone_centroid_s(s, n: int):
-    """Centroid height of the cone family member r(t) = (1-s)(1-t) + s*t."""
-    s = np.asarray(s, dtype=float)
-    a = 1.0 - s
-    m = 2.0 * s - 1.0
-    i0 = np.zeros_like(s)
-    i1 = np.zeros_like(s)
-    for k in range(n):
-        term = math.comb(n - 1, k) * a ** (n - 1 - k) * m**k
-        i0 += term / (k + 1)
-        i1 += term / (k + 2)
-    return i1 / i0, i0
+def _phi(s, alpha: float, n: int):
+    """Cut fraction of the cone r(t) = (1-s)(1-t) + s*t on [0, 1] above the
+    height G = (alpha+1) times its centroid height.
 
-
-def _phi_s(s, alpha: float, n: int):
-    """Cut fraction above the hyperplane at (alpha+1) times the centroid height."""
-    s = np.asarray(s, dtype=float)
-    a = 1.0 - s
-    m = 2.0 * s - 1.0
-    g, i0 = _cone_centroid_s(s, n)
-    big_g = (alpha + 1.0) * g
-    # integral of r**(n-1) over [G, 1], written to stay stable as G -> 1
-    r_g = a + m * np.clip(big_g, 0.0, 1.0)
-    m_g = m * (1.0 - np.clip(big_g, 0.0, 1.0))
-    tail = np.zeros_like(s)
-    for k in range(n):
-        tail += math.comb(n - 1, k) * r_g ** (n - 1 - k) * m_g**k / (k + 1)
-    tail *= 1.0 - np.clip(big_g, 0.0, 1.0)
-    phi_vals = np.where(big_g >= 1.0, 0.0, np.where(big_g <= 0.0, 1.0, tail / i0))
-    return float(phi_vals) if phi_vals.ndim == 0 else phi_vals
+    Clamping G to [0, 1] covers the cuts outside the body: the tail is 0 at
+    G = 1 and the whole volume at G = 0.
+    """
+    i0, i1 = _lin_pow_integrals(1.0 - s, s, 1.0, n)
+    g = (alpha + 1.0) * i1 / i0
+    # floats stay floats: numpy scalars would triple the cost of the
+    # golden-section refinements
+    big_g = np.clip(g, 0.0, 1.0) if np.ndim(g) else min(max(g, 0.0), 1.0)
+    r_g = (1.0 - s) * (1.0 - big_g) + s * big_g
+    tail, _ = _lin_pow_integrals(r_g, s, 1.0 - big_g, n)
+    return tail / i0
 
 
 def _check_z(z: float) -> float:
@@ -171,15 +159,16 @@ def g_sub_l(z: float, alpha: float, n: int) -> float:
     """Scaled centroid height (alpha+1)*g of the truncated cone indexed by z."""
     n = _check_n(n)
     z = _check_z(z)
-    g, _ = _cone_centroid_s(_z_to_s(z), n)
-    return (alpha + 1.0) * float(g)
+    s = _z_to_s(z)
+    i0, i1 = _lin_pow_integrals(1.0 - s, s, 1.0, n)
+    return (alpha + 1.0) * i1 / i0
 
 
 def phi(z: float, alpha: float, n: int) -> float:
     """Volume fraction of the truncated cone above its alpha-cut, clamped to [0, 1]."""
     n = _check_n(n)
     z = _check_z(z)
-    return _phi_s(_z_to_s(z), float(alpha), n)
+    return float(_phi(_z_to_s(z), float(alpha), n))
 
 
 def c2_closed_n2(alpha: float) -> float:
@@ -215,46 +204,6 @@ class BoundsTriple:
     d: float
 
 
-def _phi_scalar(s: float, alpha: float, n: int) -> float:
-    """Scalar fast path of _phi_s for the golden-section refinements."""
-    a = 1.0 - s
-    m = 2.0 * s - 1.0
-    i0 = 0.0
-    i1 = 0.0
-    for k in range(n):
-        term = math.comb(n - 1, k) * a ** (n - 1 - k) * m**k
-        i0 += term / (k + 1)
-        i1 += term / (k + 2)
-    big_g = (alpha + 1.0) * i1 / i0
-    if big_g >= 1.0:
-        return 0.0
-    if big_g <= 0.0:
-        return 1.0
-    r_g = a + m * big_g
-    m_g = m * (1.0 - big_g)
-    tail = 0.0
-    for k in range(n):
-        tail += math.comb(n - 1, k) * r_g ** (n - 1 - k) * m_g**k / (k + 1)
-    return (1.0 - big_g) * tail / i0
-
-
-def _golden_max_scalar(f, a, b, xtol=1e-12):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _numeric_sup(alpha: float, n: int):
     """Scan the compactified cone family, refine every bracketed maximum.
 
@@ -264,15 +213,15 @@ def _numeric_sup(alpha: float, n: int):
     of refinements small.
     """
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    vals = _phi_s(grid, alpha, n)
+    vals = _phi(grid, alpha, n)
     cand = {0, len(grid) - 1, int(np.argmax(vals))}
     interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:]))[0] + 1
     cand.update(int(i) for i in interior)
     candidates = []
     for i in sorted(cand):
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        s_star, v_star = _golden_max_scalar(lambda s: _phi_scalar(s, alpha, n), lo, hi)
+        lo = float(grid[max(i - 1, 0)])
+        hi = float(grid[min(i + 1, len(grid) - 1)])
+        s_star, v_star = _golden_max(lambda s: _phi(s, alpha, n), lo, hi)
         if v_star < vals[i]:
             s_star, v_star = float(grid[i]), float(vals[i])
         candidates.append((v_star, s_star))
@@ -287,12 +236,10 @@ def _numeric_sup(alpha: float, n: int):
     return best_v, best_s, tuple(near)
 
 
-def c2_numeric_sup(alpha: float, n: int, tol: float = 1e-9) -> C2Result:
+def c2_numeric_sup(alpha: float, n: int) -> C2Result:
     """The supremum branch evaluated numerically (any alpha, any n >= 2)."""
     n = _check_n(n)
     alpha = _check_alpha(alpha, n)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     value, s_star, near = _numeric_sup(alpha, n)
     return C2Result(
         value=value,
@@ -304,7 +251,7 @@ def c2_numeric_sup(alpha: float, n: int, tol: float = 1e-9) -> C2Result:
 
 
 @lru_cache(maxsize=4096)
-def c2(alpha: float, n: int, tol: float = 1e-9) -> C2Result:
+def c2(alpha: float, n: int) -> C2Result:
     """Sharp upper bound on the cut volume fraction at relative height alpha.
 
     For alpha <= 0 the bound is closed-form and attained by the cone with
@@ -317,7 +264,7 @@ def c2(alpha: float, n: int, tol: float = 1e-9) -> C2Result:
     if alpha <= 0.0:
         value = 1.0 - (n * (alpha + 1.0) / (n + 1)) ** n
         return C2Result(value, argmax_z=0.0, argmax_lambda=math.inf, method=CLOSED_FORM_NEG_ALPHA)
-    numeric = c2_numeric_sup(alpha, n, tol)
+    numeric = c2_numeric_sup(alpha, n)
     if n == 2:
         closed = c2_closed_n2(alpha)
         if abs(closed - numeric.value) > 1e-6:
@@ -335,6 +282,6 @@ def c2(alpha: float, n: int, tol: float = 1e-9) -> C2Result:
     return numeric
 
 
-def bounds(alpha: float, n: int, tol: float = 1e-9) -> BoundsTriple:
+def bounds(alpha: float, n: int) -> BoundsTriple:
     """All three sharp constants at (alpha, n)."""
-    return BoundsTriple(c1=c1(alpha, n), c2=c2(alpha, n, tol), d=d_const(alpha, n))
+    return BoundsTriple(c1=c1(alpha, n), c2=c2(alpha, n), d=d_const(alpha, n))

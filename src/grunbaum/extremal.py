@@ -16,12 +16,7 @@ import math
 
 from . import constants, measure
 from .bodies import AnalyticProfile, Direction, section_ball_volume, translate
-
-
-def _check_n(n: int) -> int:
-    if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
-    return int(n)
+from .constants import _check_n
 
 
 def centered(profile: AnalyticProfile) -> AnalyticProfile:
@@ -83,7 +78,7 @@ def lower_extremizer(alpha: float, n: int) -> AnalyticProfile:
     return centered(double_cone(constants.beta0(alpha, n), n))
 
 
-def upper_extremizer(alpha: float, n: int, tol: float = 1e-9) -> AnalyticProfile:
+def upper_extremizer(alpha: float, n: int) -> AnalyticProfile:
     """The centered body whose cut fraction at height alpha equals c2(alpha, n)."""
     n = _check_n(n)
     alpha = float(alpha)
@@ -91,7 +86,7 @@ def upper_extremizer(alpha: float, n: int, tol: float = 1e-9) -> AnalyticProfile
         raise ValueError(f"alpha must lie in (-1, {n}), got {alpha}")
     if alpha <= 0.0:
         return reflected_grunbaum_cone(n)
-    lam = constants.c2(alpha, n, tol).argmax_lambda
+    lam = constants.c2(alpha, n).argmax_lambda
     if math.isinf(lam):
         body = AnalyticProfile(n, ((0.0, 0.0), (1.0, 1.0)))
     else:

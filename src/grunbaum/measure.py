@@ -3,8 +3,9 @@
 Everything here is exact up to floating point for Polytope and
 AnalyticProfile inputs:
 
-* profiles integrate ``(linear radius)**(n-1)`` in closed form via finite
-  binomial sums, which are stable for every slope including zero;
+* profiles integrate ``(linear radius)**(n-1)`` in closed form via its
+  Bernstein expansion, whose terms are all nonnegative, so nothing cancels
+  for any slope or dimension;
 * polytopes are sliced edge-by-edge, and the section area between two
   consecutive vertex heights is a polynomial of degree <= dim-1, which a
   three-point fit recovers exactly.
@@ -59,22 +60,23 @@ class SectionCurve:
 # closed-form integrals of a linear radius raised to a power
 
 
-def _lin_pow_integral(r0: float, r1: float, h: float, n: int) -> float:
-    """Integral of ``(r0 + (r1-r0)*u/h)**(n-1)`` for u in [0, h]."""
-    d = r1 - r0
-    acc = 0.0
-    for k in range(n):
-        acc += math.comb(n - 1, k) * r0 ** (n - 1 - k) * d**k / (k + 1)
-    return h * acc
+def _lin_pow_integrals(r0, r1, h, n: int):
+    """Integrals of ``r**(n-1)`` and ``u * r**(n-1)`` for u in [0, h], where
+    ``r = r0 + (r1-r0)*u/h``.
 
-
-def _lin_pow_moment(r0: float, r1: float, h: float, n: int) -> float:
-    """Integral of ``u * (r0 + (r1-r0)*u/h)**(n-1)`` for u in [0, h]."""
-    d = r1 - r0
-    acc = 0.0
+    In the Bernstein basis every term ``r0**(n-1-k) * r1**k`` is >= 0 when
+    r0, r1 >= 0, so the sums lose nothing to cancellation:
+    ``h * sum_k r0**(n-1-k) r1**k / n`` and
+    ``h**2 * sum_k (k+1) r0**(n-1-k) r1**k / (n(n+1))``.  The loop runs on
+    floats and numpy arrays alike.
+    """
+    i0 = i1 = 0.0
+    r1_k = 1.0
     for k in range(n):
-        acc += math.comb(n - 1, k) * r0 ** (n - 1 - k) * d**k / (k + 2)
-    return h * h * acc
+        i0 = i0 * r0 + r1_k
+        i1 = i1 * r0 + (k + 1) * r1_k
+        r1_k = r1_k * r1
+    return h * i0 / n, h * h * i1 / (n * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -99,46 +101,31 @@ def _oriented_profile(body, direction: Direction):
 
 
 def _profile_volume(body: AnalyticProfile) -> float:
-    n = body.dim
-    ts, rs = body.heights(), body.radii()
-    total = sum(
-        _lin_pow_integral(rs[i], rs[i + 1], ts[i + 1] - ts[i], n)
-        for i in range(len(ts) - 1)
-    )
-    return section_ball_volume(n) * total
+    return _profile_cut_volume(body, -math.inf)
 
 
 def _profile_cut_volume(body: AnalyticProfile, t: float) -> float:
     """Volume of the part of the profile at heights >= t (axis orientation)."""
-    n = body.dim
-    ts, rs = body.heights(), body.radii()
-    if t <= ts[0]:
-        return _profile_volume(body)
-    if t >= ts[-1]:
-        return 0.0
+    knots = body.knots
     total = 0.0
-    for i in range(len(ts) - 1):
-        a, b = ts[i], ts[i + 1]
+    for (a, r0), (b, r1) in zip(knots, knots[1:]):
         if b <= t:
             continue
-        if a >= t:
-            total += _lin_pow_integral(rs[i], rs[i + 1], b - a, n)
-        else:
-            r_t = rs[i] + (rs[i + 1] - rs[i]) * (t - a) / (b - a)
-            total += _lin_pow_integral(r_t, rs[i + 1], b - t, n)
-    return section_ball_volume(n) * total
+        if a < t:
+            r0 += (r1 - r0) * (t - a) / (b - a)
+            a = t
+        total += _lin_pow_integrals(r0, r1, b - a, body.dim)[0]
+    return section_ball_volume(body.dim) * total
 
 
 def _profile_moment(body: AnalyticProfile) -> float:
     """Integral of t * A(t), used for the axial centroid coordinate."""
-    n = body.dim
-    ts, rs = body.heights(), body.radii()
+    knots = body.knots
     total = 0.0
-    for i in range(len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        total += ts[i] * _lin_pow_integral(rs[i], rs[i + 1], h, n)
-        total += _lin_pow_moment(rs[i], rs[i + 1], h, n)
-    return section_ball_volume(n) * total
+    for (a, r0), (b, r1) in zip(knots, knots[1:]):
+        i0, i1 = _lin_pow_integrals(r0, r1, b - a, body.dim)
+        total += a * i0 + i1
+    return section_ball_volume(body.dim) * total
 
 
 def _profile_max_section(body: AnalyticProfile) -> tuple[float, float]:

@@ -1,8 +1,14 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grunbaum import cli, measure, verify
 from grunbaum.bodies import AnalyticProfile, Direction, Polytope
@@ -226,3 +232,66 @@ def test_body_json_round_trip(tmp_path):
 def test_body_json_rejects_unknown_type():
     with pytest.raises(ValueError):
         cli.body_from_obj({"type": "blob", "dim": 2})
+
+
+_NOT_A_LIST = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2)
+)
+#: JSON numbers no float coordinate can hold
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+
+
+@st.composite
+def malformed_bodies(draw):
+    """A JSON value with exactly one flaw that makes it no body description."""
+    key = draw(st.sampled_from(["vertices", "knots"]))
+    if key == "vertices":
+        obj = {"type": "polytope", "dim": 2, key: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+    else:
+        obj = {"type": "profile", "dim": 2, key: [[0.0, 1.0], [1.0, 0.0]]}
+    rows = obj[key]  # every row has 2 entries
+    flaw = draw(st.sampled_from(["top", "type", "dim", "rows", "row", "entry"]))
+    if flaw == "top":
+        not_a_dict = _NOT_A_LIST.filter(lambda v: not isinstance(v, dict))
+        return draw(st.one_of(not_a_dict, st.lists(st.just(obj), max_size=2)))
+    if flaw == "type":
+        kinds = st.one_of(_NOT_A_LIST, st.text(max_size=9))
+        obj["type"] = draw(kinds.filter(lambda v: v not in ("polytope", "profile")))
+    elif flaw == "dim":
+        obj["dim"] = draw(st.one_of(_NOT_A_NUMBER, st.floats(), st.integers(max_value=1)))
+    elif flaw == "rows":
+        obj[key] = draw(_NOT_A_LIST)
+    elif flaw == "row":
+        wrong_width = st.lists(st.floats(-9, 9), max_size=4).filter(lambda r: len(r) != 2)
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.one_of(_NOT_A_LIST, wrong_width)))
+    else:
+        bad = st.one_of(_NOT_A_NUMBER, _NON_FINITE)
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(bad)
+    return obj
+
+
+@settings(max_examples=80, deadline=None)
+@given(obj=malformed_bodies(), command=st.sampled_from(["verify", "symmetrize"]))
+@example(obj=[{"type": "profile", "dim": 2, "knots": [[0, 1], [1, 0]]}], command="verify")
+@example(
+    obj={"type": "polytope", "dim": 2, "vertices": [[0, 0], [1, math.nan], [0, 1]]},
+    command="verify",
+)
+@example(obj={"type": "profile", "dim": 2, "knots": [[0, 1], [math.inf, 0]]}, command="verify")
+def test_malformed_body_json_exits_2(obj, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/body.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--body", path])
+    assert code == 2
+    assert "Traceback" not in err.getvalue()

@@ -204,8 +204,3 @@ def test_bounds_triple():
     triple = C.bounds(0.3, 3)
     assert 0.0 <= triple.c1 < triple.c2.value
     assert 0.0 <= triple.d <= 1.0
-
-
-def test_c2_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        C.c2_numeric_sup(0.5, 2, tol=-1.0)
