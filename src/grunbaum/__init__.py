@@ -13,8 +13,8 @@ from .bodies import (
     AnalyticProfile,
     CutSpec,
     Direction,
-    NumericProfile,
     Polytope,
+    SlabProfile,
     dilate,
     translate,
     unit_ball_volume,
@@ -25,8 +25,8 @@ __all__ = [
     "AnalyticProfile",
     "CutSpec",
     "Direction",
-    "NumericProfile",
     "Polytope",
+    "SlabProfile",
     "constants",
     "dilate",
     "extremal",

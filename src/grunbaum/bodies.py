@@ -6,9 +6,13 @@ Three concrete body types are supported:
 * ``AnalyticProfile`` -- a body of revolution about the first coordinate
   axis with piecewise-linear concave radius.  Every extremal body lives
   here, as does the Schwarz symmetral of any planar polytope.
-* ``NumericProfile`` -- a body of revolution whose section area is only
-  available through a callable (e.g. the symmetral of a 3-D polytope,
-  whose radius is the square root of a piecewise quadratic).
+* ``SlabProfile`` -- a body of revolution whose section area is piecewise
+  quadratic, stored as a table of slab coefficients with closed-form
+  integrals: the Schwarz symmetral of a 3-D polytope, and the table
+  ``measure`` slices every polytope into along a direction.
+
+Profiles exist for 2 <= dim <= ``MAX_PROFILE_DIM``; beyond it the ball
+volume that scales their sections is no longer a normal float.
 
 All bodies are immutable; operations return new values.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,6 +29,9 @@ import numpy as np
 UNIT_NORM_TOL = 1e-12
 #: consecutive radius slopes may increase by at most this much
 CONCAVITY_SLOPE_TOL = 1e-10
+#: largest profile dimension: from dim 437 on, the unit (dim-1)-ball volume
+#: that scales every section is below ``sys.float_info.min``
+MAX_PROFILE_DIM = 436
 
 
 def unit_ball_volume(d: int) -> float:
@@ -37,6 +44,12 @@ def unit_ball_volume(d: int) -> float:
 def section_ball_volume(dim: int) -> float:
     """Volume of the unit (dim-1)-ball, the cross-section normalizer for profiles."""
     return unit_ball_volume(dim - 1)
+
+
+def _check_profile_dim(dim: int) -> None:
+    # an integer comparison, so that a huge dim never reaches float math
+    if not 2 <= dim <= MAX_PROFILE_DIM:
+        raise ValueError(f"profile dimension must lie in [2, {MAX_PROFILE_DIM}], got {dim}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +129,7 @@ class AnalyticProfile:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"profile dimension must be >= 2, got {self.dim}")
+        _check_profile_dim(self.dim)
         knots = tuple((float(t), float(r)) for t, r in self.knots)
         if len(knots) < 2:
             raise ValueError("a profile needs at least two knots")
@@ -150,49 +162,135 @@ class AnalyticProfile:
         return AnalyticProfile(self.dim, tuple((-t, r) for t, r in reversed(self.knots)))
 
 
-@dataclass(frozen=True, eq=False)
-class NumericProfile:
-    """Body of revolution whose section area A(t) is a callable.
+@dataclass(frozen=True)
+class SlabProfile:
+    """Body of revolution whose section area A(t) is piecewise quadratic.
 
-    ``area`` must return the (dim-1)-volume of the section at height t,
-    zero outside ``support``; it should accept numpy arrays (a scalar-only
-    callable is tolerated but slower).  ``breakpoints`` lists heights where
-    A may lose smoothness; integration never straddles one.
+    On slab i, between ``edges[i]`` and ``edges[i+1]``, the area is
+    ``s0[i] + s1[i]*x + s2[i]*x**2`` with x measured from the slab centre.
+    This is the exact Schwarz symmetral of a polytope (``measure`` builds the
+    table by slicing), so every integral below is closed-form.  Construction
+    also keeps numpy copies of the table and the cumulative slab integrals,
+    so queries convert nothing.
     """
 
     dim: int
-    support: tuple[float, float]
-    area: Callable
-    breakpoints: tuple[float, ...]
+    edges: tuple[float, ...]
+    s0: tuple[float, ...]
+    s1: tuple[float, ...]
+    s2: tuple[float, ...]
 
     def __post_init__(self):
-        lo, hi = (float(self.support[0]), float(self.support[1]))
-        if not hi > lo:
-            raise ValueError(f"empty support interval {self.support}")
-        object.__setattr__(self, "support", (lo, hi))
-        bps = sorted({lo, hi, *(float(b) for b in self.breakpoints if lo < float(b) < hi)})
-        object.__setattr__(self, "breakpoints", tuple(bps))
+        _check_profile_dim(self.dim)
+        cols = [tuple(float(x) for x in c) for c in (self.edges, self.s0, self.s1, self.s2)]
+        for name, col in zip(("edges", "s0", "s1", "s2"), cols):
+            object.__setattr__(self, name, col)
+        edges, s0, s1, s2 = (np.asarray(c) for c in cols)
+        if len(edges) < 2 or not len(s0) == len(s1) == len(s2) == len(edges) - 1:
+            raise ValueError("a slab profile needs k+1 edges and k coefficients of each order")
+        if not all(np.all(np.isfinite(c)) for c in (edges, s0, s1, s2)):
+            raise ValueError("slab edges and coefficients must be finite")
+        lo, hi = edges[:-1], edges[1:]
+        if np.any(hi <= lo):
+            raise ValueError("slab edges must be strictly increasing")
+        h = hi - lo
+        full = s0 * h + s2 * h**3 / 12.0
+        tc = 0.5 * (lo + hi)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_tc", tc)
+        object.__setattr__(self, "_s", (s0, s1, s2))
+        object.__setattr__(self, "_tails", np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]]))
+        object.__setattr__(self, "_moment", float((tc * full + s1 * h**3 / 12.0).sum()))
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.edges[0], self.edges[-1])
+
+    def _quadratic(self, t: np.ndarray) -> np.ndarray:
+        """The slab polynomials at heights t, unclamped."""
+        s0, s1, s2 = self._s
+        idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(s0) - 1)
+        x = t - self._tc[idx]
+        return s0[idx] + x * (s1[idx] + x * s2[idx])
 
     def area_at(self, t):
-        try:
-            out = self.area(np.asarray(t, dtype=float))
-        except (TypeError, ValueError):
-            out = np.vectorize(self.area, otypes=[float])(t)
-        return float(out) if np.ndim(t) == 0 else np.asarray(out, dtype=float)
+        """Section area at height t, 0 outside the support.  Accepts arrays."""
+        t = np.asarray(t, dtype=float)
+        inside = (t >= self._edges[0]) & (t <= self._edges[-1])
+        out = np.where(inside, np.maximum(self._quadratic(t), 0.0), 0.0)
+        return float(out) if out.ndim == 0 else out
 
-    def reflected(self) -> "NumericProfile":
+    def volume(self) -> float:
+        return float(self._tails[0])
+
+    def moment(self) -> float:
+        """Integral of t * A(t), used for the axial centroid coordinate."""
+        return self._moment
+
+    def cut_volume(self, t: float) -> float:
+        """Volume of the part at heights >= t: the tail integral inside the
+        slab holding t plus the cumulative integral of the slabs above."""
         lo, hi = self.support
-        area = self.area_at
-        return NumericProfile(
+        if t <= lo:
+            return self.volume()
+        if t >= hi:
+            return 0.0
+        (s0, s1, s2), edges = self._s, self._edges
+        i = min(int(np.searchsorted(edges, t, side="right")) - 1, len(s0) - 1)
+
+        def anti(x):
+            return x * (s0[i] + x * (s1[i] / 2.0 + x * s2[i] / 3.0))
+
+        tail = anti(edges[i + 1] - self._tc[i]) - anti(t - self._tc[i])
+        return max(tail + float(self._tails[i + 1]), 0.0)
+
+    def max_section(self) -> tuple[float, float]:
+        """Leftmost maximizer of A and the maximal area: the best slab end or
+        vertex of a concave slab, then bisection down to the leftmost height
+        within 1e-13 (relative) of it."""
+        (s0, s1, s2), edges, tc = self._s, self._edges, self._tc
+        best = 0.0
+        for i in range(len(tc)):
+            xs = [edges[i] - tc[i], edges[i + 1] - tc[i]]
+            if s2[i] < 0.0:
+                xstar = -s1[i] / (2.0 * s2[i])
+                if xs[0] < xstar < xs[1]:
+                    xs.append(xstar)
+            for x in xs:
+                best = max(best, s0[i] + x * (s1[i] + x * s2[i]))
+        thresh = best - 1e-13 * max(best, 1.0)
+        for i in range(len(tc)):
+            lo_t, hi_t = edges[i], edges[i + 1]
+            if self.area_at(lo_t) >= thresh:
+                return float(lo_t), float(best)
+            xs = hi_t
+            if s2[i] < 0.0:
+                xstar = tc[i] - s1[i] / (2.0 * s2[i])
+                if lo_t < xstar < hi_t:
+                    xs = xstar
+            if self.area_at(xs) >= thresh:
+                a, b = lo_t, xs
+                for _ in range(80):
+                    mid = 0.5 * (a + b)
+                    if self.area_at(mid) >= thresh:
+                        b = mid
+                    else:
+                        a = mid
+                return float(b), float(best)
+        return float(edges[0]), float(best)  # constant area
+
+    def reflected(self) -> "SlabProfile":
+        """The profile of the same body viewed along the negated axis."""
+        return SlabProfile(
             self.dim,
-            (-hi, -lo),
-            lambda t: area(-np.asarray(t, dtype=float)),
-            tuple(-b for b in reversed(self.breakpoints)),
+            tuple(-e for e in reversed(self.edges)),
+            self.s0[::-1],
+            tuple(-c for c in reversed(self.s1)),
+            self.s2[::-1],
         )
 
 
-Body = Union[Polytope, AnalyticProfile, NumericProfile]
-ProfileBody = (AnalyticProfile, NumericProfile)
+Body = Union[Polytope, AnalyticProfile, SlabProfile]
 
 
 @dataclass(frozen=True)
@@ -241,16 +339,9 @@ def translate(body: Body, vector) -> Body:
     if isinstance(body, AnalyticProfile):
         s = _axial_shift(body, vector)
         return AnalyticProfile(body.dim, tuple((t + s, r) for t, r in body.knots))
-    if isinstance(body, NumericProfile):
+    if isinstance(body, SlabProfile):
         s = _axial_shift(body, vector)
-        lo, hi = body.support
-        area = body.area_at
-        return NumericProfile(
-            body.dim,
-            (lo + s, hi + s),
-            lambda t: area(np.asarray(t, dtype=float) - s),
-            tuple(b + s for b in body.breakpoints),
-        )
+        return SlabProfile(body.dim, tuple(e + s for e in body.edges), body.s0, body.s1, body.s2)
     raise TypeError(f"not a body: {body!r}")
 
 
@@ -263,16 +354,11 @@ def dilate(body: Body, factor: float) -> Body:
         return Polytope(body.dim, tuple(tuple(f * x for x in v) for v in body.vertices))
     if isinstance(body, AnalyticProfile):
         return AnalyticProfile(body.dim, tuple((f * t, f * r) for t, r in body.knots))
-    if isinstance(body, NumericProfile):
-        lo, hi = body.support
-        area = body.area_at
-        scale = f ** (body.dim - 1)
-        return NumericProfile(
-            body.dim,
-            (f * lo, f * hi),
-            lambda t: scale * area(np.asarray(t, dtype=float) / f),
-            tuple(f * b for b in body.breakpoints),
-        )
+    if isinstance(body, SlabProfile):
+        # A_f(t) = f**(n-1) * A(t/f), and x scales by f within each slab
+        coeffs = (body.s0, body.s1, body.s2)
+        scaled = (tuple(f ** (body.dim - 1 - k) * c for c in col) for k, col in enumerate(coeffs))
+        return SlabProfile(body.dim, tuple(f * e for e in body.edges), *scaled)
     raise TypeError(f"not a body: {body!r}")
 
 
@@ -313,17 +399,12 @@ def _validate_analytic_profile(body: AnalyticProfile) -> list[str]:
     return problems
 
 
-def _validate_numeric_profile(body: NumericProfile) -> list[str]:
+def _validate_slab_profile(body: SlabProfile) -> list[str]:
     problems = []
-    lo, hi = body.support
-    grid = np.linspace(lo, hi, 65)
-    a = body.area_at(grid)
-    if np.any(a < 0.0):
+    a = body._quadratic(np.linspace(*body.support, 65))
+    # the integrals use the polynomials as they are, negative parts included
+    if float(a.min()) < -1e-9 * max(float(a.max()), 1.0):
         problems.append("section area is negative somewhere on the support")
-    width = hi - lo
-    for t in (lo - 0.01 * width, hi + 0.01 * width):
-        if abs(body.area_at(t)) > 0.0:
-            problems.append(f"section area does not vanish outside the support (t={t})")
     # midpoint concavity of A^{1/(dim-1)} on the grid
     root = np.maximum(a, 0.0) ** (1.0 / (body.dim - 1))
     gap = 0.5 * (root[:-2] + root[2:]) - root[1:-1]
@@ -340,6 +421,6 @@ def validate(body: Body) -> list[str]:
         return _validate_polytope(body)
     if isinstance(body, AnalyticProfile):
         return _validate_analytic_profile(body)
-    if isinstance(body, NumericProfile):
-        return _validate_numeric_profile(body)
+    if isinstance(body, SlabProfile):
+        return _validate_slab_profile(body)
     raise TypeError(f"not a body: {body!r}")

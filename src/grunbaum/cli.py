@@ -30,8 +30,8 @@ from .bodies import (
     Body,
     CutSpec,
     Direction,
-    NumericProfile,
     Polytope,
+    SlabProfile,
     section_ball_volume,
     validate,
 )
@@ -51,28 +51,28 @@ _EXTREMAL_KINDS = (
 # body (de)serialization
 
 
-def profile_from_numeric(body: NumericProfile, knot_budget: int = 129) -> AnalyticProfile:
-    """Resample a numeric profile onto knots: breakpoints plus a uniform grid.
+def profile_from_numeric(body: SlabProfile, knot_budget: int = 129) -> AnalyticProfile:
+    """Resample a slab profile onto knots: slab edges plus a uniform grid.
 
-    Keeping the breakpoints in the knot set reproduces the section areas
+    Keeping the slab edges in the knot set reproduces the section areas
     there exactly; the budget controls the density in between.
     """
     lo, hi = body.support
-    ts = np.unique(np.concatenate([np.asarray(body.breakpoints), np.linspace(lo, hi, knot_budget)]))
+    ts = np.unique(np.concatenate([np.asarray(body.edges), np.linspace(lo, hi, knot_budget)]))
     keep = [ts[0]]
     for t in ts[1:]:
         if t - keep[-1] > 1e-12 * (hi - lo):
             keep.append(t)
     ts = np.asarray(keep)
     omega = section_ball_volume(body.dim)
-    rs = (np.maximum(body.area_at(ts), 0.0) / omega) ** (1.0 / (body.dim - 1))
+    rs = (body.area_at(ts) / omega) ** (1.0 / (body.dim - 1))
     return AnalyticProfile(body.dim, tuple(zip(ts.tolist(), rs.tolist())))
 
 
 def body_to_obj(body: Body, knot_budget: int = 129) -> dict:
     if isinstance(body, Polytope):
         return {"type": "polytope", "dim": body.dim, "vertices": [list(v) for v in body.vertices]}
-    if isinstance(body, NumericProfile):
+    if isinstance(body, SlabProfile):
         body = profile_from_numeric(body, knot_budget)
     return {"type": "profile", "dim": body.dim, "knots": [[t, r] for t, r in body.knots]}
 
@@ -177,17 +177,23 @@ def cmd_sweep(args) -> int:
     return _write_text("\n".join(lines) + "\n", args.out)
 
 
+def _print_problems(body: Body) -> bool:
+    """Print every invariant the body violates; True when there is one."""
+    problems = validate(body)
+    for p in problems:
+        print(f"invalid body: {p}", file=sys.stderr)
+    return bool(problems)
+
+
 def cmd_verify(args) -> int:
     try:
         body = load_body(args.body)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot parse body file {args.body}: {exc}", 2)
-    problems = validate(body)
-    if problems:
-        for p in problems:
-            print(f"invalid body: {p}", file=sys.stderr)
+    if _print_problems(body):
         return 2
     try:
+        measure.volume(body)  # DegenerateBodyError (a ValueError) if no ratio is meaningful
         direction = (
             Direction.axis(body.dim)
             if args.direction is None
@@ -264,6 +270,8 @@ def cmd_symmetrize(args) -> int:
         body = load_body(args.body)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot parse body file {args.body}: {exc}", 2)
+    if _print_problems(body):
+        return 2
     try:
         direction = (
             Direction.axis(body.dim)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measure import _golden_max, _lin_pow_integrals
+from .measure import _lin_pow_integrals
 
 #: method tags for C2Result
 CLOSED_FORM_NEG_ALPHA = "closed_form_neg_alpha"
@@ -34,6 +34,9 @@ NUMERIC_SUP = "numeric_sup"
 
 _SCAN_POINTS = 4097
 _NEAR_OPTIMUM = 1e-9
+#: a scan point is a local maximum only if it beats both neighbours by more
+#: than this, relative: rounding wiggles of the scan are not maxima
+_WIGGLE = 1e-13
 
 
 def _check_n(n: int) -> int:
@@ -204,18 +207,39 @@ class BoundsTriple:
     d: float
 
 
+def _golden_max(f, a, b, xtol=1e-12):
+    """Golden-section search for the maximum of a unimodal f on [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while d - c > xtol * max(1.0, abs(c) + abs(d)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def _numeric_sup(alpha: float, n: int):
     """Scan the compactified cone family, refine every bracketed maximum.
 
-    Candidates are the endpoints, the best grid point and every strict
-    interior local maximum; plateaus (e.g. the clamped-to-zero region for
-    large alpha) contribute no interior candidates, which keeps the number
-    of refinements small.
+    Candidates are the endpoints, the best grid point and every interior
+    local maximum that rises above both neighbours by more than
+    ``_WIGGLE`` (relative).  Stretches where the scan is flat to rounding
+    (near s = 0 at large n) or clamped to zero (large alpha) therefore
+    contribute no interior candidates, which keeps the number of
+    refinements small.
     """
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
     vals = _phi(grid, alpha, n)
     cand = {0, len(grid) - 1, int(np.argmax(vals))}
-    interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:]))[0] + 1
+    mid = vals[1:-1] - _WIGGLE * max(1.0, float(vals.max()))
+    interior = np.nonzero((mid > vals[:-2]) & (mid > vals[2:]))[0] + 1
     cand.update(int(i) for i in interior)
     candidates = []
     for i in sorted(cand):

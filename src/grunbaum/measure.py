@@ -1,23 +1,21 @@
 """Measurement functionals on convex bodies.
 
-Everything here is exact up to floating point for Polytope and
-AnalyticProfile inputs:
+Everything here is exact up to floating point:
 
 * profiles integrate ``(linear radius)**(n-1)`` in closed form via its
   Bernstein expansion, whose terms are all nonnegative, so nothing cancels
   for any slope or dimension;
 * polytopes are sliced edge-by-edge, and the section area between two
   consecutive vertex heights is a polynomial of degree <= dim-1, which a
-  three-point fit recovers exactly.
-
-NumericProfile bodies fall back to breakpoint-aware adaptive Simpson
-quadrature with absolute tolerance 1e-12 (exact again whenever the area
-is piecewise cubic or lower, e.g. symmetrals of 3-D polytopes).
+  three-point fit recovers exactly.  The fitted slab table is a
+  ``SlabProfile``: the polytope's Schwarz symmetral along that direction,
+  whose closed-form slab integrals answer every query about the polytope.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -29,12 +27,11 @@ from .bodies import (
     AnalyticProfile,
     Body,
     Direction,
-    NumericProfile,
     Polytope,
+    SlabProfile,
     section_ball_volume,
 )
 
-_QUAD_TOL = 1e-12
 _DEDUPE_REL = 1e-12
 _AXIS_TOL = 1e-9
 
@@ -96,7 +93,11 @@ def _axis_sign(direction: Direction, dim: int) -> float:
     return 1.0 if coords[0] > 0 else -1.0
 
 
-def _oriented_profile(body, direction: Direction):
+def _oriented_profile(body: Body, direction: Direction):
+    """The section table of the body along the direction: a polytope's
+    slabs, or a profile viewed along +/- its axis."""
+    if isinstance(body, Polytope):
+        return _poly_slabs(body, tuple(direction.as_array()))
     return body if _axis_sign(direction, body.dim) > 0 else body.reflected()
 
 
@@ -230,213 +231,34 @@ def _poly_section_area(body: Polytope, xi: np.ndarray, t: float) -> float:
     return abs(float(area))
 
 
-class _SlabDecomposition:
-    """Exact piecewise polynomial model of A(t) for a polytope.
+@lru_cache(maxsize=512)
+def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
+    """Exact piecewise polynomial model of A(t) for a polytope along xi.
 
     On each slab between consecutive vertex heights the section area is a
     polynomial of degree <= dim-1; three interior samples pin it down as
     ``s0 + s1*x + s2*x**2`` around the slab center.
     """
-
-    def __init__(self, body: Polytope, xi: np.ndarray):
-        pts, edges, _, _, _ = _hull_data(body)
-        heights = np.sort(pts @ xi)
-        span = float(heights[-1] - heights[0])
-        if span <= 0.0:
-            raise DegenerateBodyError("polytope is flat along the slicing direction")
-        keep = [heights[0]]
-        for h in heights[1:]:
-            if h - keep[-1] > _DEDUPE_REL * span:
-                keep.append(h)
-        edges_t = np.asarray(keep)
-        lo, hi = edges_t[:-1], edges_t[1:]
-        tc = 0.5 * (lo + hi)
-        delta = 0.25 * (hi - lo)
-        a1 = np.array([_poly_section_area(body, xi, t) for t in tc - delta])
-        a2 = np.array([_poly_section_area(body, xi, t) for t in tc])
-        a3 = np.array([_poly_section_area(body, xi, t) for t in tc + delta])
-        self.edges = edges_t
-        self.tc = tc
-        self.s0 = a2
-        self.s1 = (a3 - a1) / (2.0 * delta)
-        self.s2 = (a1 - 2.0 * a2 + a3) / (2.0 * delta * delta)
-        h = hi - lo
-        self.widths = h
-        self.full = self.s0 * h + self.s2 * h**3 / 12.0
-        self.moment_full = self.tc * self.full + self.s1 * h**3 / 12.0
-        self.tails = np.concatenate([np.cumsum(self.full[::-1])[::-1], [0.0]])
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.edges[0]), float(self.edges[-1])
-
-    def area(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.tc) - 1)
-        x = t - self.tc[idx]
-        val = self.s0[idx] + x * (self.s1[idx] + x * self.s2[idx])
-        inside = (t >= self.edges[0]) & (t <= self.edges[-1])
-        out = np.where(inside, np.maximum(val, 0.0), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def _tail_in_slab(self, i: int, t: float) -> float:
-        """Integral of A from t to the top of slab i."""
-        x1 = t - self.tc[i]
-        x2 = self.edges[i + 1] - self.tc[i]
-
-        def anti(x):
-            return x * (self.s0[i] + x * (self.s1[i] / 2.0 + x * self.s2[i] / 3.0))
-
-        return anti(x2) - anti(x1)
-
-    def cut_volume(self, t: float) -> float:
-        lo, hi = self.support
-        if t <= lo:
-            return float(self.tails[0])
-        if t >= hi:
-            return 0.0
-        i = min(int(np.searchsorted(self.edges, t, side="right")) - 1, len(self.tc) - 1)
-        return max(self._tail_in_slab(i, t) + float(self.tails[i + 1]), 0.0)
-
-    def volume(self) -> float:
-        return float(self.tails[0])
-
-    def moment(self) -> float:
-        return float(self.moment_full.sum())
-
-    def max_section(self) -> tuple[float, float]:
-        best = 0.0
-        for i in range(len(self.tc)):
-            xs = [self.edges[i] - self.tc[i], self.edges[i + 1] - self.tc[i]]
-            if self.s2[i] < 0.0:
-                xstar = -self.s1[i] / (2.0 * self.s2[i])
-                if xs[0] < xstar < xs[1]:
-                    xs.append(xstar)
-            for x in xs:
-                best = max(best, self.s0[i] + x * (self.s1[i] + x * self.s2[i]))
-        thresh = best - 1e-13 * max(best, 1.0)
-        for i in range(len(self.tc)):
-            lo_t, hi_t = self.edges[i], self.edges[i + 1]
-            if self.area(lo_t) >= thresh:
-                return float(lo_t), float(best)
-            xs = hi_t
-            if self.s2[i] < 0.0:
-                xstar = self.tc[i] - self.s1[i] / (2.0 * self.s2[i])
-                if lo_t < xstar < hi_t:
-                    xs = xstar
-            if self.area(xs) >= thresh:
-                a, b = lo_t, xs
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    if self.area(mid) >= thresh:
-                        b = mid
-                    else:
-                        a = mid
-                return float(b), float(best)
-        return float(self.edges[0]), float(best)  # constant area
-
-
-@lru_cache(maxsize=512)
-def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> _SlabDecomposition:
-    return _SlabDecomposition(body, np.asarray(xi_coords))
-
-
-# ---------------------------------------------------------------------------
-# adaptive Simpson quadrature for NumericProfile bodies
-
-
-def _adaptive_simpson(f, a, b, tol=_QUAD_TOL, max_depth=48):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _simpson_rec(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _simpson_rec(
-        f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-    )
-
-
-class _NumericIntegrals:
-    def __init__(self, body: NumericProfile):
-        self.body = body
-        f = body.area_at
-        bps = body.breakpoints
-        self.pieces = list(zip(bps[:-1], bps[1:]))
-        tol = _QUAD_TOL / max(len(self.pieces), 1)
-        self.full = np.array([_adaptive_simpson(f, a, b, tol) for a, b in self.pieces])
-        self.tails = np.concatenate([np.cumsum(self.full[::-1])[::-1], [0.0]])
-        self.moment_total = sum(
-            _adaptive_simpson(lambda t: t * f(t), a, b, tol) for a, b in self.pieces
-        )
-
-    def volume(self) -> float:
-        return float(self.tails[0])
-
-    def cut_volume(self, t: float) -> float:
-        lo, hi = self.body.support
-        if t <= lo:
-            return self.volume()
-        if t >= hi:
-            return 0.0
-        for i, (a, b) in enumerate(self.pieces):
-            if t < b:
-                partial = _adaptive_simpson(self.body.area_at, t, b, _QUAD_TOL)
-                return max(partial + float(self.tails[i + 1]), 0.0)
-        return 0.0
-
-
-@lru_cache(maxsize=256)
-def _numeric_integrals(body: NumericProfile) -> _NumericIntegrals:
-    return _NumericIntegrals(body)
-
-
-def _golden_max(f, a, b, xtol=1e-12):
-    """Golden-section search for the maximum of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > xtol * max(1.0, abs(c) + abs(d)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _leftmost_max(curve: SectionCurve) -> tuple[float, float]:
-    lo, hi = curve.support
-    grid = np.unique(np.concatenate([np.asarray(curve.breakpoints), np.linspace(lo, hi, 257)]))
-    vals = np.asarray([curve.evaluate(t) for t in grid], dtype=float)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    x_hat, f_hat = _golden_max(lambda t: float(curve.evaluate(t)), a, b)
-    best = max(f_hat, float(vals[k]))
-    x_hat = x_hat if f_hat >= vals[k] else float(grid[k])
-    thresh = best - 1e-13 * max(best, 1.0)
-    if float(curve.evaluate(lo)) >= thresh:
-        return float(lo), best
-    a, b = lo, x_hat
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if float(curve.evaluate(mid)) >= thresh:
-            b = mid
-        else:
-            a = mid
-    return float(b), best
+    xi = np.asarray(xi_coords)
+    pts, _, _, _, _ = _hull_data(body)
+    heights = np.sort(pts @ xi)
+    span = float(heights[-1] - heights[0])
+    if span <= 0.0:
+        raise DegenerateBodyError("polytope is flat along the slicing direction")
+    keep = [heights[0]]
+    for h in heights[1:]:
+        if h - keep[-1] > _DEDUPE_REL * span:
+            keep.append(h)
+    edges = np.asarray(keep)
+    lo, hi = edges[:-1], edges[1:]
+    tc = 0.5 * (lo + hi)
+    delta = 0.25 * (hi - lo)
+    a1 = np.array([_poly_section_area(body, xi, t) for t in tc - delta])
+    a2 = np.array([_poly_section_area(body, xi, t) for t in tc])
+    a3 = np.array([_poly_section_area(body, xi, t) for t in tc + delta])
+    s1 = (a3 - a1) / (2.0 * delta)
+    s2 = (a1 - 2.0 * a2 + a3) / (2.0 * delta * delta)
+    return SlabProfile(body.dim, edges, a2, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +267,8 @@ def _leftmost_max(curve: SectionCurve) -> tuple[float, float]:
 
 def section_curve(body: Body, direction: Direction) -> SectionCurve:
     """The parallel section function of the body along the direction."""
-    if isinstance(body, Polytope):
-        xi = direction.as_array()
-        if direction.dim != body.dim:
-            raise ValueError("direction and body dimensions differ")
-        slabs = _poly_slabs(body, tuple(xi))
-        return SectionCurve(body.dim, slabs.support, slabs.area, tuple(slabs.edges))
+    if isinstance(body, Polytope) and direction.dim != body.dim:
+        raise ValueError("direction and body dimensions differ")
     prof = _oriented_profile(body, direction)
     if isinstance(prof, AnalyticProfile):
         omega = section_ball_volume(prof.dim)
@@ -460,7 +278,7 @@ def section_curve(body: Body, direction: Direction) -> SectionCurve:
             return _o * _p.radius_at(t) ** (_n - 1)
 
         return SectionCurve(prof.dim, prof.support, evaluate, tuple(prof.heights()))
-    return SectionCurve(prof.dim, prof.support, prof.area_at, prof.breakpoints)
+    return SectionCurve(prof.dim, prof.support, prof.area_at, prof.edges)
 
 
 def support(body: Body, direction: Direction) -> float:
@@ -475,9 +293,6 @@ def support(body: Body, direction: Direction) -> float:
 
 def section_area(body: Body, direction: Direction, t: float) -> float:
     """(dim-1)-volume of the slice at signed height t along the direction."""
-    if isinstance(body, Polytope):
-        slabs = _poly_slabs(body, tuple(direction.as_array()))
-        return float(slabs.area(float(t)))
     prof = _oriented_profile(body, direction)
     if isinstance(prof, AnalyticProfile):
         return section_ball_volume(prof.dim) * float(prof.radius_at(float(t))) ** (
@@ -488,24 +303,23 @@ def section_area(body: Body, direction: Direction, t: float) -> float:
 
 def cut_volume(body: Body, direction: Direction, t: float) -> float:
     """Volume of the part of the body at heights >= t along the direction."""
-    if isinstance(body, Polytope):
-        slabs = _poly_slabs(body, tuple(direction.as_array()))
-        return slabs.cut_volume(float(t))
     prof = _oriented_profile(body, direction)
     if isinstance(prof, AnalyticProfile):
         return _profile_cut_volume(prof, float(t))
-    return _numeric_integrals(prof).cut_volume(float(t))
+    return prof.cut_volume(float(t))
 
 
 def volume(body: Body) -> float:
+    """The volume; a body whose volume is not a normal positive float (below
+    ``sys.float_info.min``, where ratios lose their digits) is degenerate."""
     if isinstance(body, Polytope):
-        return _hull_data(body)[3]
-    if isinstance(body, AnalyticProfile):
+        vol = _hull_data(body)[3]
+    elif isinstance(body, AnalyticProfile):
         vol = _profile_volume(body)
     else:
-        vol = _numeric_integrals(body).volume()
-    if vol <= 0.0:
-        raise DegenerateBodyError(f"body has nonpositive volume {vol}")
+        vol = body.volume()
+    if not vol >= sys.float_info.min:
+        raise DegenerateBodyError(f"body volume {vol} is not a normal positive float")
     return vol
 
 
@@ -522,36 +336,28 @@ def centroid_coordinate(body: Body, direction: Direction) -> float:
     if isinstance(body, Polytope):
         return float(np.dot(_hull_data(body)[4], direction.as_array()))
     prof = _oriented_profile(body, direction)
-    if isinstance(prof, AnalyticProfile):
-        return _profile_moment(prof) / volume(prof)
-    ints = _numeric_integrals(prof)
-    return float(ints.moment_total) / ints.volume()
+    moment = _profile_moment(prof) if isinstance(prof, AnalyticProfile) else prof.moment()
+    return moment / volume(prof)
 
 
 def max_section(body: Body, direction: Direction) -> tuple[float, float]:
     """Leftmost maximizer t0 of A(t) and the maximal section area A(t0)."""
-    if isinstance(body, Polytope):
-        slabs = _poly_slabs(body, tuple(direction.as_array()))
-        return slabs.max_section()
     prof = _oriented_profile(body, direction)
     if isinstance(prof, AnalyticProfile):
         return _profile_max_section(prof)
-    return _leftmost_max(section_curve(prof, Direction.axis(prof.dim)))
+    return prof.max_section()
 
 
 def schwarz_symmetral(body: Body, direction: Direction):
     """Round the body into a body of revolution with the same sections.
 
-    Returns an AnalyticProfile whenever the radius is exactly piecewise
-    linear (profiles themselves, and 2-D polytopes whose chord length is
-    piecewise linear); otherwise a NumericProfile backed by exact slicing.
+    Profiles are their own symmetrals.  A polytope's symmetral is its slab
+    table: an AnalyticProfile in the plane, where chord lengths and hence
+    radii are piecewise linear, and a SlabProfile in 3-D.
     """
-    if isinstance(body, (AnalyticProfile, NumericProfile)):
-        return _oriented_profile(body, direction)
-    xi = direction.as_array()
-    slabs = _poly_slabs(body, tuple(xi))
-    if body.dim == 2:
+    slabs = _oriented_profile(body, direction)
+    if isinstance(body, Polytope) and body.dim == 2:
         omega = section_ball_volume(2)
-        knots = [(float(t), float(slabs.area(float(t))) / omega) for t in slabs.edges]
+        knots = [(t, slabs.area_at(t) / omega) for t in slabs.edges]
         return AnalyticProfile(2, tuple(knots))
-    return NumericProfile(body.dim, slabs.support, slabs.area, tuple(slabs.edges))
+    return slabs

@@ -88,7 +88,7 @@ def contains(body: Body, points: np.ndarray) -> np.ndarray:
         r = body.radius_at(t)
     else:
         omega = section_ball_volume(body.dim)
-        r = (np.maximum(body.area_at(t), 0.0) / omega) ** (1.0 / (body.dim - 1))
+        r = (body.area_at(t) / omega) ** (1.0 / (body.dim - 1))
     lo, hi = body.support
     return (t >= lo) & (t <= hi) & (radial2 <= r * r)
 

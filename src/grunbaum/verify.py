@@ -120,7 +120,7 @@ def describe(body: Body) -> dict:
         return {"type": "polytope", "dim": body.dim, "vertices": len(body.vertices)}
     if isinstance(body, AnalyticProfile):
         return {"type": "profile", "dim": body.dim, "knots": len(body.knots)}
-    return {"type": "numeric_profile", "dim": body.dim}
+    return {"type": "slab_profile", "dim": body.dim, "slabs": len(body.s0)}
 
 
 # ---------------------------------------------------------------------------

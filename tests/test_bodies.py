@@ -1,6 +1,7 @@
 """Body types, affine operations, and validation diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grunbaum.bodies import (
+    MAX_PROFILE_DIM,
     AnalyticProfile,
     CutSpec,
     Direction,
-    NumericProfile,
     Polytope,
+    SlabProfile,
     dilate,
+    section_ball_volume,
     translate,
     unit_ball_volume,
     validate,
@@ -104,13 +107,30 @@ def test_validate_extremal_cone_clean():
     assert validate(grunbaum_cone(3)) == []
 
 
-def test_validate_numeric_profile():
-    good = NumericProfile(3, (0.0, 1.0), lambda t: np.where((t >= 0) & (t <= 1), 1.0, 0.0), ())
-    assert validate(good) == []
-    convex_area = NumericProfile(
-        2, (0.0, 1.0), lambda t: np.where((t >= 0) & (t <= 1), 0.1 + t * t, 0.0), ()
-    )
+def unit_slab(dim=3):
+    """A(t) = 1 on [0, 1]: the unit cylinder's profile."""
+    return SlabProfile(dim, (0.0, 1.0), (1.0,), (0.0,), (0.0,))
+
+
+def test_validate_slab_profile():
+    assert validate(unit_slab()) == []
+    # A(t) = 0.1 + t**2 on [0, 1], written about the slab centre 0.5
+    convex_area = SlabProfile(2, (0.0, 1.0), (0.35,), (1.0,), (1.0,))
     assert any("not concave" in p for p in validate(convex_area))
+    negative = SlabProfile(3, (0.0, 1.0, 2.0), (1.0, -0.5), (0.0, 0.0), (0.0, 0.0))
+    assert any("negative" in p for p in validate(negative))
+
+
+def test_profile_dim_bound():
+    """Profiles stop where the section normalizer leaves the normal floats."""
+    assert section_ball_volume(MAX_PROFILE_DIM) >= sys.float_info.min
+    assert section_ball_volume(MAX_PROFILE_DIM + 1) < sys.float_info.min
+    AnalyticProfile(MAX_PROFILE_DIM, ((0.0, 1.0), (1.0, 0.0)))
+    for dim in (1, MAX_PROFILE_DIM + 1, 1200, 10**400):
+        with pytest.raises(ValueError):
+            AnalyticProfile(dim, ((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(ValueError):
+            unit_slab(dim)
 
 
 def test_profile_knots_must_increase():
@@ -155,11 +175,44 @@ def test_dilate_round_trip(seed, factor):
     assert np.allclose(back.radii(), body.radii(), rtol=1e-12, atol=1e-12)
 
 
-def test_numeric_profile_translate_dilate():
-    base = NumericProfile(3, (0.0, 1.0), lambda t: np.where((t >= 0) & (t <= 1), 1.0, 0.0), ())
+def test_slab_profile_translate_dilate():
+    base = unit_slab()
     vol = measure.volume(base)
     shifted = translate(base, 2.0)
     assert shifted.support == (2.0, 3.0)
     assert measure.volume(shifted) == pytest.approx(vol, rel=1e-10)
     doubled = dilate(base, 2.0)
     assert measure.volume(doubled) == pytest.approx(vol * 8.0, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-5, 5), factor=st.floats(0.1, 10.0))
+def test_slab_profile_affine_identities(seed, shift, factor):
+    """translate, dilate and reflected act on a 3-D symmetral's slab table
+    exactly as they act on the body."""
+    body = oracle.random_polytope(3, 10, seed)
+    vec = oracle.rng_for(seed, shard=4).standard_normal(3)
+    sym = measure.schwarz_symmetral(body, Direction.from_vector(vec))
+    axis = Direction.axis(3)
+    assert hash(sym) == hash(translate(sym, 0.0)) and sym == translate(sym, 0.0)
+    assert sym.reflected().reflected() == sym
+    assert dilate(dilate(sym, 2.0), 0.5) == sym
+    moved = translate(sym, shift)
+    assert (moved.s0, moved.s1, moved.s2) == (sym.s0, sym.s1, sym.s2)
+    scaled = dilate(sym, factor)
+    flipped = sym.reflected()
+    vol = measure.volume(sym)
+    assert measure.volume(scaled) == pytest.approx(vol * factor**3, rel=1e-12)
+    lo, hi = sym.support
+    for t in np.linspace(lo, hi, 9):
+        area, cut = sym.area_at(t), sym.cut_volume(t)
+        assert moved.area_at(t + shift) == pytest.approx(area, rel=1e-9, abs=1e-12)
+        assert moved.cut_volume(t + shift) == pytest.approx(cut, rel=1e-9, abs=1e-12)
+        assert scaled.area_at(factor * t) == pytest.approx(factor**2 * area, rel=1e-9, abs=1e-12)
+        assert scaled.cut_volume(factor * t) == pytest.approx(
+            factor**3 * cut, rel=1e-9, abs=1e-12
+        )
+        assert flipped.area_at(-t) == pytest.approx(area, rel=1e-12, abs=1e-15)
+        assert measure.cut_volume(sym, axis.negated(), -t) == pytest.approx(
+            vol - cut, rel=1e-12, abs=1e-12 * vol
+        )

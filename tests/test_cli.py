@@ -105,6 +105,34 @@ def test_verify_corrupted_body_exit_2(tmp_path, capsys):
     assert "concave" in err
 
 
+def test_symmetrize_invalid_body_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type":"profile","dim":2,"knots":[[0,0],[0.5,0.2],[1,1]]}')
+    code, out, err = run(capsys, "symmetrize", "--body", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "concave" in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "profile", "dim": dim, "knots": [[0, 1], [1, 0]]}
+        for dim in (437, 1200, 10**400)
+    ]
+    + [{"type": "profile", "dim": 300, "knots": [[0, 1e-3], [1, 1e-3]]}],
+    ids=["dim437", "dim1200", "dim1e400", "dim300_tiny"],
+)
+def test_verify_beyond_float_range_exits_2(tmp_path, capsys, obj):
+    """Bodies whose volume is no normal float are rejected, not misjudged."""
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--body", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err
+
+
 def test_verify_unparseable_body_exit_2(tmp_path, capsys):
     bad = tmp_path / "junk.json"
     bad.write_text("{not json")

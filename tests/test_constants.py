@@ -194,6 +194,21 @@ def test_psi_v_shape_around_beta0():
     assert all(a <= b + 1e-12 for a, b in zip(rv, rv[1:]))
 
 
+def test_c2_refines_only_real_maxima(monkeypatch):
+    """Rounding wiggles of the flat scan near s = 0 are no local maxima."""
+    calls = []
+    inner = C._golden_max
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(C, "_golden_max", counted)
+    res = C.c2_numeric_sup(0.3, 50)
+    assert len(calls) <= 3
+    assert res.value == pytest.approx(0.350644, abs=1e-6)
+
+
 def test_c1_below_c2():
     for n in (2, 3, 4, 5):
         for alpha in np.linspace(-0.9, n - 0.1, 25):

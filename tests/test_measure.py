@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from grunbaum import measure, oracle
-from grunbaum.bodies import AnalyticProfile, Direction, NumericProfile, Polytope
+from grunbaum.bodies import AnalyticProfile, Direction, Polytope, SlabProfile
 from grunbaum.extremal import double_cone, grunbaum_cone
 
 AXIS2 = Direction.axis(2)
@@ -139,7 +140,7 @@ def test_schwarz_symmetral_profile_fixed_point():
 
 def test_schwarz_symmetral_cube_constant_area():
     sym = measure.schwarz_symmetral(unit_cube(), Direction((0.0, 0.0, 1.0)))
-    assert isinstance(sym, NumericProfile)
+    assert isinstance(sym, SlabProfile)
     assert sym.support == (0.0, 1.0)
     for t in np.linspace(0.05, 0.95, 7):
         assert sym.area_at(float(t)) == pytest.approx(1.0, abs=1e-12)
@@ -178,7 +179,7 @@ def test_max_section_examples():
     assert area == pytest.approx(1.0, rel=1e-12)
 
 
-def test_max_section_numeric_profile_plateau():
+def test_max_section_slab_profile_plateau():
     sym = measure.schwarz_symmetral(unit_cube(), Direction((0.0, 0.0, 1.0)))
     t0, area = measure.max_section(sym, AXIS3)
     assert t0 == pytest.approx(0.0, abs=1e-9)
@@ -253,3 +254,36 @@ def test_degenerate_polytope_raises():
     flat = Polytope(2, ((0, 0), (1, 1), (2, 2)))
     with pytest.raises(measure.DegenerateBodyError):
         measure.volume(flat)
+
+
+def test_subnormal_volume_raises():
+    """A volume below the smallest normal float has lost its digits."""
+    tiny = AnalyticProfile(300, ((0.0, 1e-3), (1.0, 1e-3)))
+    with pytest.raises(measure.DegenerateBodyError):
+        measure.volume(tiny)
+
+
+def _hull_volume_above(pts, xi, t):
+    """Volume of {x in hull(pts) : <x, xi> >= t} from scipy: the hull of the
+    points above t and of the plane's crossings with every segment between
+    two points (the edge crossings among them; the others lie inside)."""
+    h = pts @ xi
+    keep = [pts[h >= t]]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if (h[i] - t) * (h[j] - t) < 0.0:
+                keep.append((pts[i] + (t - h[i]) / (h[j] - h[i]) * (pts[j] - pts[i]))[None])
+    return ConvexHull(np.concatenate(keep)).volume
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polytope_cut_volume_matches_clipped_hull(seed):
+    """The slab integrals against scipy's hull volume of the clipped body."""
+    body = oracle.random_polytope(3, 12, seed)
+    d = Direction.from_vector(oracle.rng_for(seed, shard=6).standard_normal(3))
+    pts, xi = body.vertex_array(), d.as_array()
+    h = pts @ xi
+    for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+        t = float(h.min() + q * (h.max() - h.min()))
+        want = _hull_volume_above(pts, xi, t)
+        assert measure.cut_volume(body, d, t) == pytest.approx(want, rel=1e-10)

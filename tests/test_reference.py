@@ -62,7 +62,7 @@ def test_kernel_matches_mpmath(r0, r1, h, n):
         assert g == pytest.approx(float(w), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("n", DIMS + (430,))
 def test_grunbaum_cone_cut_ratio(n):
     ratio = verify.cut_ratio(grunbaum_cone(n), CutSpec(Direction.axis(n), 0.0))
     with mpmath.workdps(50):
