@@ -247,8 +247,9 @@ class SlabProfile:
     def max_section(self) -> tuple[float, float]:
         """Leftmost maximizer of A and the maximal area: the best slab end or
         vertex of a concave slab, then bisection down to the leftmost height
-        within 1e-13 (relative) of it."""
-        (s0, s1, s2), edges, tc = self._s, self._edges, self._tc
+        within 1e-13 (relative) of it.  All in Python floats, on each slab's
+        own quadratic."""
+        s0, s1, s2, edges, tc = self.s0, self.s1, self.s2, self.edges, self._tc.tolist()
         best = 0.0
         for i in range(len(tc)):
             xs = [edges[i] - tc[i], edges[i + 1] - tc[i]]
@@ -260,24 +261,30 @@ class SlabProfile:
                 best = max(best, s0[i] + x * (s1[i] + x * s2[i]))
         thresh = best - 1e-13 * max(best, 1.0)
         for i in range(len(tc)):
+            c0, c1, c2, ci = s0[i], s1[i], s2[i], tc[i]
+
+            def area(t):
+                x = t - ci
+                return c0 + x * (c1 + x * c2)
+
             lo_t, hi_t = edges[i], edges[i + 1]
-            if self.area_at(lo_t) >= thresh:
-                return float(lo_t), float(best)
+            if area(lo_t) >= thresh:
+                return lo_t, best
             xs = hi_t
-            if s2[i] < 0.0:
-                xstar = tc[i] - s1[i] / (2.0 * s2[i])
+            if c2 < 0.0:
+                xstar = ci - c1 / (2.0 * c2)
                 if lo_t < xstar < hi_t:
                     xs = xstar
-            if self.area_at(xs) >= thresh:
+            if area(xs) >= thresh:
                 a, b = lo_t, xs
                 for _ in range(80):
                     mid = 0.5 * (a + b)
-                    if self.area_at(mid) >= thresh:
+                    if area(mid) >= thresh:
                         b = mid
                     else:
                         a = mid
-                return float(b), float(best)
-        return float(edges[0]), float(best)  # constant area
+                return b, best
+        return edges[0], best  # constant area
 
     def reflected(self) -> "SlabProfile":
         """The profile of the same body viewed along the negated axis."""

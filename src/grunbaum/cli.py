@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import constants, extremal, measure, verify
+from . import constants, extremal, measure, oracle, verify
 from .bodies import (
     AnalyticProfile,
     Body,
@@ -200,6 +200,11 @@ def cmd_verify(args) -> int:
             else _parse_direction(args.direction, body.dim)
         )
         cut = CutSpec(direction, args.alpha)
+        if args.mc_samples != 0 and args.mc_samples < oracle.MIN_SAMPLES:
+            raise ValueError(
+                f"--mc-samples must be 0 (off) or at least {oracle.MIN_SAMPLES}, "
+                f"got {args.mc_samples}"
+            )
     except ValueError as exc:
         return _fail(str(exc), 2)
     ctx = {"path": args.body}
@@ -213,7 +218,7 @@ def cmd_verify(args) -> int:
     ]
     if args.alpha == 0.0:
         reports.append(verify.check_grunbaum(body, direction, tol=args.tol, context=ctx))
-    if args.mc_samples > 0:
+    if args.mc_samples:
         reports.append(
             verify.check_theorem4(
                 body,

@@ -1,10 +1,18 @@
 """Brute-force Monte Carlo estimators and random body generators.
 
 The estimators are deliberately independent of the exact pipeline: plain
-hit-or-miss sampling over the tight axis-aligned bounding box, with
-membership decided by half-space tests (polytopes) or a radius comparison
-(profiles).  They exist to cross-validate the closed-form machinery, so
-they share no integration code with it.
+hit-or-miss sampling, with membership decided by half-space tests
+(polytopes) or a radius comparison (profiles).  They exist to
+cross-validate the closed-form machinery, so they share no integration
+code with it.
+
+One sampler serves every estimator.  It draws polytope points uniformly in
+the tight axis-aligned bounding box.  For a profile it draws the tight
+cylinder [t_lo, t_hi] x B^(n-1)(r_max), and only what the membership test
+reads: the height t and the squared radial distance |y|**2.  Every
+estimate is then one reading of one draw; a cut ratio in particular is
+hits above the cut over hits inside, from the same points, with a Wilson
+score interval (``wilson_interval``).
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, shard); identical seeds reproduce results bit for bit on any
@@ -13,6 +21,7 @@ platform, and every estimate records the generator name and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,114 +64,138 @@ def _check_samples(samples: int) -> int:
     return int(samples)
 
 
-def bounding_box(body: Body) -> tuple[np.ndarray, np.ndarray]:
-    """Tight axis-aligned bounding box (lo, hi) of the body."""
-    if isinstance(body, Polytope):
-        pts = body.vertex_array()
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    else:
-        if isinstance(body, AnalyticProfile):
-            t_lo, t_hi = body.support
-            r_max = float(body.radii().max())
-        else:
-            t_lo, t_hi = body.support
-            _, area_max = measure.max_section(body, Direction.axis(body.dim))
-            omega = section_ball_volume(body.dim)
-            r_max = (area_max / omega) ** (1.0 / (body.dim - 1)) * (1.0 + 1e-9)
-        lo = np.array([t_lo] + [-r_max] * (body.dim - 1))
-        hi = np.array([t_hi] + [r_max] * (body.dim - 1))
+def bounding_box(body: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Tight axis-aligned bounding box (lo, hi) of a polytope."""
+    pts = body.vertex_array()
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     if np.any(hi <= lo):
         raise ValueError(f"degenerate bounding box: lo={lo}, hi={hi}")
     return lo, hi
+
+
+def bounding_cylinder(body: Body) -> tuple[float, float, float]:
+    """(t_lo, t_hi, r_max): the tight cylinder [t_lo, t_hi] x B^(n-1)(r_max)
+    around a profile body."""
+    t_lo, t_hi = body.support
+    if isinstance(body, AnalyticProfile):
+        r_max = float(body.radii().max())
+    else:
+        _, area_max = body.max_section()
+        omega = section_ball_volume(body.dim)
+        r_max = (area_max / omega) ** (1.0 / (body.dim - 1)) * (1.0 + 1e-9)
+    if not r_max > 0.0:
+        raise ValueError(f"degenerate bounding cylinder: r_max={r_max}")
+    return t_lo, t_hi, r_max
+
+
+def region_volume(body: Body) -> float:
+    """Volume of the region the sampler draws the body's points from."""
+    if isinstance(body, Polytope):
+        lo, hi = bounding_box(body)
+        return float(np.prod(hi - lo))
+    t_lo, t_hi, r_max = bounding_cylinder(body)
+    return (t_hi - t_lo) * section_ball_volume(body.dim) * r_max ** (body.dim - 1)
+
+
+def _in_profile(body: Body, t: np.ndarray, radial2: np.ndarray) -> np.ndarray:
+    """Membership of the points at heights t and squared distances radial2
+    from the axis of a profile body."""
+    if isinstance(body, AnalyticProfile):
+        r2 = body.radius_at(t) ** 2
+    else:
+        omega = section_ball_volume(body.dim)
+        r2 = (body.area_at(t) / omega) ** (2.0 / (body.dim - 1))
+    lo, hi = body.support
+    return (t >= lo) & (t <= hi) & (radial2 <= r2)
 
 
 def contains(body: Body, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (m, dim) array of points."""
     points = np.asarray(points, dtype=float)
     if isinstance(body, Polytope):
+        # one facet at a time, in place: no (m, facets) matrix
         eqs = measure._hull_data(body)[2]
-        return np.all(points @ eqs[:, :-1].T + eqs[:, -1] <= 1e-12, axis=1)
-    t = points[:, 0]
+        mask = np.ones(len(points), dtype=bool)
+        for normal, limit in zip(eqs[:, :-1], (1e-12 - eqs[:, -1]).tolist()):
+            mask &= points @ normal <= limit
+        return mask
     radial2 = np.einsum("ij,ij->i", points[:, 1:], points[:, 1:])
-    if isinstance(body, AnalyticProfile):
-        r = body.radius_at(t)
-    else:
-        omega = section_ball_volume(body.dim)
-        r = (body.area_at(t) / omega) ** (1.0 / (body.dim - 1))
-    lo, hi = body.support
-    return (t >= lo) & (t <= hi) & (radial2 <= r * r)
+    return _in_profile(body, points[:, 0], radial2)
 
 
-def _sample_hits(body, samples, seed, extra=None):
-    """Count box samples landing in the body; optionally collect a statistic."""
-    lo, hi = bounding_box(body)
-    gen = rng_for(seed)
-    hits = 0
-    collected = []
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        pts = lo + (hi - lo) * gen.random((m, body.dim))
-        mask = contains(body, pts)
-        hits += int(mask.sum())
-        if extra is not None:
-            collected.append(extra(pts, mask))
-        remaining -= m
-    box_vol = float(np.prod(hi - lo))
-    return hits, box_vol, collected
+def _inside_heights(body: Body, direction: Direction, samples: int, seed: int) -> np.ndarray:
+    """One draw of ``samples`` points: the heights along the direction of
+    those that land in the body.
 
-
-def mc_volume(body: Body, samples: int, seed: int) -> McEstimate:
-    """Hit-or-miss volume estimate over the tight bounding box."""
+    A profile's points are drawn as (t, |y|**2) with t uniform on
+    [t_lo, t_hi] and |y|**2 = r_max**2 * U**(2/(n-1)), U uniform on [0, 1]:
+    the law of a uniform point of the cylinder, read through the only two
+    numbers its membership test needs.  Profiles are cut along +/- their axis.
+    """
     samples = _check_samples(samples)
-    hits, box_vol, _ = _sample_hits(body, samples, seed)
+    gen = rng_for(seed)
+    if isinstance(body, Polytope):
+        lo, hi = bounding_box(body)
+        xi = direction.as_array()
+
+        def draw(m):
+            pts = lo + (hi - lo) * gen.random((m, body.dim))
+            return pts[contains(body, pts)] @ xi
+
+    else:
+        sign = measure._axis_sign(direction, body.dim)
+        t_lo, t_hi, r_max = bounding_cylinder(body)
+        power = 2.0 / (body.dim - 1)
+
+        def draw(m):
+            t = t_lo + (t_hi - t_lo) * gen.random(m)
+            radial2 = r_max * r_max * gen.random(m) ** power
+            return sign * t[_in_profile(body, t, radial2)]
+
+    return np.concatenate([draw(min(_CHUNK, samples - k)) for k in range(0, samples, _CHUNK)])
+
+
+def _fraction_estimate(hits: int, samples: int, region: float, seed: int) -> McEstimate:
     p = hits / samples
     return McEstimate(
-        value=box_vol * p,
-        std_error=box_vol * float(np.sqrt(p * (1.0 - p) / samples)),
+        value=region * p,
+        std_error=region * math.sqrt(p * (1.0 - p) / samples),
         samples=samples,
         seed=seed,
     )
+
+
+def mc_volume(body: Body, samples: int, seed: int) -> McEstimate:
+    """Hit-or-miss volume estimate over the sampling region."""
+    heights = _inside_heights(body, Direction.axis(body.dim), samples, seed)
+    return _fraction_estimate(len(heights), samples, region_volume(body), seed)
 
 
 def mc_cut_volume(
     body: Body, direction: Direction, t: float, samples: int, seed: int
 ) -> McEstimate:
     """Volume of the part of the body at heights >= t along the direction."""
-    samples = _check_samples(samples)
-    xi = direction.as_array()
-    lo, hi = bounding_box(body)
-    gen = rng_for(seed)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        pts = lo + (hi - lo) * gen.random((m, body.dim))
-        mask = contains(body, pts) & (pts @ xi >= t)
-        hits += int(mask.sum())
-        remaining -= m
-    box_vol = float(np.prod(hi - lo))
-    p = hits / samples
-    return McEstimate(
-        value=box_vol * p,
-        std_error=box_vol * float(np.sqrt(p * (1.0 - p) / samples)),
-        samples=samples,
-        seed=seed,
-    )
+    heights = _inside_heights(body, direction, samples, seed)
+    above = int(np.count_nonzero(heights >= t))
+    return _fraction_estimate(above, samples, region_volume(body), seed)
+
+
+def mc_cut_counts(
+    body: Body, direction: Direction, t: float, samples: int, seed: int
+) -> tuple[int, int]:
+    """(hits at heights >= t, hits inside) of one draw: the cut ratio
+    P(<x, xi> >= t | x in body) is their quotient."""
+    heights = _inside_heights(body, direction, samples, seed)
+    if len(heights) == 0:
+        raise ValueError("no samples landed in the body; is it degenerate?")
+    return int(np.count_nonzero(heights >= t)), len(heights)
 
 
 def mc_centroid_coordinate(
     body: Body, direction: Direction, samples: int, seed: int
 ) -> McEstimate:
     """Mean height of accepted samples along the direction."""
-    samples = _check_samples(samples)
-    xi = direction.as_array()
-
-    def heights(pts, mask):
-        return (pts @ xi)[mask]
-
-    _, _, collected = _sample_hits(body, samples, seed, extra=heights)
-    h = np.concatenate(collected) if collected else np.empty(0)
+    h = _inside_heights(body, direction, samples, seed)
     if len(h) < 2:
         raise ValueError("no samples landed in the body; is it degenerate?")
     return McEstimate(
@@ -171,6 +204,20 @@ def mc_centroid_coordinate(
         samples=samples,
         seed=seed,
     )
+
+
+def wilson_interval(hits: int, trials: int, z: float) -> tuple[float, float]:
+    """Wilson score interval [L, U] at z standard errors for the proportion
+    hits / trials.  Unlike p +/- z*sqrt(p(1-p)/trials) it keeps a width of
+    about z**2 / trials at p = 0 and p = 1."""
+    if trials <= 0:
+        raise ValueError(f"need at least one trial, got {trials}")
+    p = hits / trials
+    z2n = z * z / trials
+    centre = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = z * math.sqrt(p * (1.0 - p) / trials + 0.25 * z2n / trials) / (1.0 + z2n)
+    # exact ends where rounding would leave 0 or 1 just outside the interval
+    return (centre - half if hits > 0 else 0.0), (centre + half if hits < trials else 1.0)
 
 
 def _uniform_ball(gen: np.random.Generator, m: int, n: int) -> np.ndarray:

@@ -4,8 +4,11 @@ Every check first recenters the body at its centroid (the bounds are
 stated for centered bodies, and translating the body once is equivalent to
 relocating the cut).  Checks return a ``VerifyReport``; a report passes
 when ``lower - tolerance <= measured <= upper + tolerance`` with absent
-sides skipped.  Exact backends use tolerance 1e-9; the Monte Carlo backend
-uses four standard errors of the measured ratio.
+sides skipped.  Exact backends use tolerance 1e-9.  The Monte Carlo
+backend estimates a cut ratio from one draw (hits above the cut over hits
+inside) and reports its ``MC_SIGMAS`` Wilson score interval [L, U]: it
+passes when U >= lower and L <= upper, and its tolerance is the interval's
+half-width.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .bodies import (
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
 
-#: factor on the standard error used by Monte Carlo backed checks
+#: z of the Wilson score interval used by Monte Carlo backed checks
 MC_SIGMAS = 4.0
 _STRATUM_EPS = 1e-3
 
@@ -94,9 +97,13 @@ def report_from_json(line: str) -> VerifyReport:
     )
 
 
-def _make_report(quantity, measured, lower, upper, tolerance, backend, context):
-    ok_low = lower is None or measured >= lower - tolerance
-    ok_high = upper is None or measured <= upper + tolerance
+def _make_report(quantity, measured, lower, upper, tolerance, backend, context, interval=None):
+    if interval is None:
+        ok_low = lower is None or measured >= lower - tolerance
+        ok_high = upper is None or measured <= upper + tolerance
+    else:  # each bound against its own side of the interval
+        ok_low = lower is None or interval[1] >= lower
+        ok_high = upper is None or interval[0] <= upper
     # equality detection only makes sense at exact-backend resolution
     at_bound = backend == EXACT and (
         (lower is not None and abs(measured - lower) <= 100.0 * tolerance)
@@ -160,15 +167,22 @@ def section_ratio(body: Body, cut: CutSpec) -> float:
 # individual checks
 
 
-def _mc_ratio(body, direction, t, samples, seed):
-    vol = oracle.mc_volume(body, samples, seed)
-    cut = oracle.mc_cut_volume(body, direction, t, samples, seed + 1)
-    ratio = cut.value / vol.value
-    # independent estimates: first-order error propagation for the quotient
-    var = (cut.std_error / vol.value) ** 2 + (
-        cut.value * vol.std_error / vol.value**2
-    ) ** 2
-    return ratio, math.sqrt(var)
+def _mc_cut_report(body, cut, lower, upper, samples, seed, ctx):
+    """The cut ratio of the centered body from one Monte Carlo draw."""
+    centered = center(body)
+    t = cut_height(centered, cut)
+    above, inside = oracle.mc_cut_counts(centered, cut.direction, t, samples, seed)
+    lo, hi = oracle.wilson_interval(above, inside, MC_SIGMAS)
+    ctx.update(
+        seed=seed,
+        samples=samples,
+        inside=inside,
+        interval=[lo, hi],
+        generator=oracle.GENERATOR_NAME,
+    )
+    return _make_report(
+        "cut_ratio", above / inside, lower, upper, 0.5 * (hi - lo), MONTE_CARLO, ctx, (lo, hi)
+    )
 
 
 def check_theorem4(
@@ -187,15 +201,8 @@ def check_theorem4(
     ctx = {**describe(body), "alpha": cut.alpha, "direction": list(cut.direction.coords)}
     ctx.update(context or {})
     if backend == EXACT:
-        measured = cut_ratio(body, cut)
-        tolerance = tol
-    else:
-        centered = center(body)
-        t = cut_height(centered, cut)
-        measured, sigma = _mc_ratio(centered, cut.direction, t, mc_samples, seed)
-        tolerance = max(MC_SIGMAS * sigma, 1e-12)
-        ctx.update(seed=seed, samples=mc_samples)
-    return _make_report("cut_ratio", measured, lower, upper, tolerance, backend, ctx)
+        return _make_report("cut_ratio", cut_ratio(body, cut), lower, upper, tol, EXACT, ctx)
+    return _mc_cut_report(body, cut, lower, upper, mc_samples, seed, ctx)
 
 
 def check_theorem5(
@@ -223,17 +230,10 @@ def check_grunbaum(
     bound = constants.grunbaum_bound(n)
     ctx = {**describe(body), "alpha": 0.0, "direction": list(direction.coords)}
     ctx.update(context or {})
+    cut = CutSpec(direction, 0.0)
     if backend == EXACT:
-        measured = cut_ratio(body, CutSpec(direction, 0.0))
-        tolerance = tol
-    else:
-        centered = center(body)
-        measured, sigma = _mc_ratio(centered, direction, 0.0, mc_samples, seed)
-        tolerance = max(MC_SIGMAS * sigma, 1e-12)
-        ctx.update(seed=seed, samples=mc_samples)
-    return _make_report(
-        "cut_ratio", measured, bound, 1.0 - bound, tolerance, backend, ctx
-    )
+        return _make_report("cut_ratio", cut_ratio(body, cut), bound, 1.0 - bound, tol, EXACT, ctx)
+    return _mc_cut_report(body, cut, bound, 1.0 - bound, mc_samples, seed, ctx)
 
 
 def check_minkowski_radon(

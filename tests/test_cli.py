@@ -154,6 +154,15 @@ def test_verify_random_body_with_mc(tmp_path, capsys):
     assert backends == {"exact", "monte_carlo"}
 
 
+@pytest.mark.parametrize("samples", ["10", "-5"])
+def test_verify_bad_mc_samples_exit_2(tmp_path, capsys, samples):
+    path = write_body(tmp_path, grunbaum_cone(2))
+    code, out, err = run(capsys, "verify", "--body", path, "--mc-samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--mc-samples" in err and "Traceback" not in err
+
+
 def test_extremal_kinds_round_trip(tmp_path, capsys):
     for kind, extra in (
         ("grunbaum-cone", []),

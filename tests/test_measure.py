@@ -186,6 +186,47 @@ def test_max_section_slab_profile_plateau():
     assert area == pytest.approx(1.0, rel=1e-9)
 
 
+def _max_section_by_area_at(prof):
+    """Reference: the same search in numpy scalars, with every area in the
+    bisection read through ``area_at``."""
+    (s0, s1, s2), edges, tc = prof._s, prof._edges, prof._tc
+    best = 0.0
+    for i in range(len(tc)):
+        xs = [edges[i] - tc[i], edges[i + 1] - tc[i]]
+        if s2[i] < 0.0 and xs[0] < -s1[i] / (2.0 * s2[i]) < xs[1]:
+            xs.append(-s1[i] / (2.0 * s2[i]))
+        best = max([best] + [s0[i] + x * (s1[i] + x * s2[i]) for x in xs])
+    thresh = best - 1e-13 * max(best, 1.0)
+    for i in range(len(tc)):
+        lo_t, xs = edges[i], edges[i + 1]
+        if prof.area_at(lo_t) >= thresh:
+            return float(lo_t), float(best)
+        if s2[i] < 0.0 and lo_t < tc[i] - s1[i] / (2.0 * s2[i]) < xs:
+            xs = tc[i] - s1[i] / (2.0 * s2[i])
+        if prof.area_at(xs) >= thresh:
+            a, b = lo_t, xs
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if prof.area_at(mid) >= thresh else (mid, b)
+            return float(b), float(best)
+    return float(edges[0]), float(best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2, 3)))
+def test_max_section_matches_area_at_search(seed, n):
+    """The float bisection on each slab's own quadratic returns the same
+    (t0, A(t0)) bit for bit as a search through ``area_at``, and A(t0) is
+    the maximum."""
+    body = oracle.random_polytope(n, 12, seed)
+    d = Direction.from_vector(oracle.rng_for(seed, shard=3).standard_normal(n))
+    prof = measure._poly_slabs(body, tuple(d.as_array()))
+    t0, area = prof.max_section()
+    assert (t0, area) == _max_section_by_area_at(prof)
+    grid = np.linspace(*prof.support, 513)
+    assert area >= float(prof.area_at(grid).max()) - 1e-12 * max(area, 1.0)
+
+
 def _midpoint_concavity_ok(values, tol):
     worst = -math.inf
     for gap in range(1, (len(values) - 1) // 2 + 1):

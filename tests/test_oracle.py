@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,44 @@ def test_mc_volume_triangle():
 def test_mc_volume_rejects_few_samples():
     with pytest.raises(ValueError):
         oracle.mc_volume(unit_cube(), 10, 0)
+
+
+def test_profile_sampling_region_is_the_tight_cylinder():
+    # (t_hi - t_lo) * omega_(n-1) * r_max**(n-1), with r_max = 2 and height 3
+    assert oracle.region_volume(AnalyticProfile(3, ((0.0, 0.0), (1.0, 2.0), (3.0, 0.0)))) == (
+        pytest.approx(12.0 * math.pi, rel=1e-14)
+    )
+    assert oracle.region_volume(AnalyticProfile(5, ((-1.0, 2.0), (2.0, 1.0)))) == (
+        pytest.approx(24.0 * math.pi**2, rel=1e-14)
+    )
+    # a cylinder fills its sampling region: every draw hits, zero variance
+    est = oracle.mc_volume(AnalyticProfile(4, ((0.0, 0.5), (2.0, 0.5))), 10_000, 3)
+    assert est.value == pytest.approx(2.0 * (4.0 * math.pi / 3.0) * 0.125, rel=1e-14)
+    assert est.std_error == 0.0
+
+
+def test_profile_estimates_need_the_axis():
+    cone = AnalyticProfile(2, ((0.0, 1.0), (1.0, 0.0)))
+    with pytest.raises(ValueError):
+        oracle.mc_cut_volume(cone, Direction.from_vector((1.0, 1.0)), 0.2, 10_000, 1)
+
+
+def test_contains_facet_loop_matches_all_facets():
+    body = oracle.random_polytope(3, 12, 31)
+    pts = oracle.rng_for(4).uniform(-1.0, 1.0, (20_000, 3))
+    eqs = measure._hull_data(body)[2]
+    reference = np.all(pts @ eqs[:, :-1].T + eqs[:, -1] <= 1e-12, axis=1)
+    assert np.array_equal(oracle.contains(body, pts), reference)
+
+
+def test_wilson_interval_keeps_a_band_at_the_ends():
+    lo, hi = oracle.wilson_interval(0, 10_000, 4.0)
+    assert lo == 0.0 and hi == pytest.approx(16.0 / 10_016.0, rel=1e-12)
+    lo, hi = oracle.wilson_interval(10_000, 10_000, 4.0)
+    assert hi == 1.0 and lo == pytest.approx(10_000.0 / 10_016.0, rel=1e-12)
+    lo, hi = oracle.wilson_interval(5_000, 10_000, 4.0)
+    assert 0.5 - lo == pytest.approx(hi - 0.5, rel=1e-12)
+    assert hi - lo == pytest.approx(2.0 * 4.0 * 0.5 / math.sqrt(10_016.0), rel=1e-12)
 
 
 def test_mc_cut_volume_square():

@@ -169,8 +169,66 @@ def test_mc_backend_check():
     rep = verify.check_theorem4(body, cut, backend=verify.MONTE_CARLO, mc_samples=50_000, seed=9)
     assert rep.backend == "monte_carlo"
     assert rep.passed
-    exact = verify.cut_ratio(body, cut)
-    assert abs(rep.measured - exact) <= rep.tolerance  # 4 sigma twin agreement
+    lo, hi = rep.context["interval"]
+    assert lo <= verify.cut_ratio(body, cut) <= hi  # 4 sigma twin agreement
+    assert rep.tolerance == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+    assert 0 < rep.context["inside"] <= rep.context["samples"] == 50_000
+    assert rep.context["generator"] == oracle.GENERATOR_NAME
+    inside = rep.context["inside"]
+    assert round(rep.measured * inside) / inside == rep.measured  # hits above / hits inside
+
+
+def _mc_report(body, direction, alpha, seed, samples=100_000):
+    cut = CutSpec(direction, alpha)
+    return verify.check_theorem4(
+        body, cut, backend=verify.MONTE_CARLO, mc_samples=samples, seed=seed
+    )
+
+
+def test_mc_every_hit_above_the_cut_keeps_a_band():
+    """At alpha near -1 every inside hit lies above the cut (measured 1.0),
+    while c2 < 1: a zero-width band would fail the check."""
+    body = oracle.random_polytope(2, 10, 0)
+    direction = Direction.from_vector(oracle.rng_for(0, shard=1).standard_normal(2))
+    rep = _mc_report(body, direction, -0.999, 0)
+    assert rep.measured == 1.0
+    assert rep.upper < 1.0 - 1e-9
+    lo, hi = rep.context["interval"]
+    assert lo < rep.upper and hi == 1.0
+    assert rep.tolerance > 1e-6
+    assert rep.passed
+
+
+def test_mc_empty_cut_reports_a_band():
+    body = oracle.random_polytope(2, 10, 0)
+    direction = Direction.from_vector(oracle.rng_for(0, shard=1).standard_normal(2))
+    rep = _mc_report(body, direction, 1.999, 0)
+    assert rep.measured == 0.0
+    lo, hi = rep.context["interval"]
+    assert lo == 0.0 and hi > 1e-12
+    assert rep.tolerance > 1e-12
+    assert rep.passed
+
+
+def test_mc_interval_coverage():
+    """The exact cut ratio lies in the 4-sigma Wilson interval in >= 99% of
+    300 fixed-seed (body, alpha) trials at 1e5 samples."""
+    gen = oracle.rng_for(20261018)
+    outside = 0
+    for trial in range(300):
+        seed = 5000 + trial
+        if trial % 3 == 2:
+            body = oracle.random_polytope(2 + trial % 2, 10, seed)
+            direction = Direction.from_vector(oracle.rng_for(seed, shard=1).standard_normal(body.dim))
+        else:
+            body = oracle.random_profile(2 + trial % 4, 5, seed)
+            direction = Direction.axis(body.dim)
+        alpha = verify._stratified_alphas(gen, body.dim, trial % 3 + 1)[-1]
+        rep = _mc_report(body, direction, alpha, seed)
+        lo, hi = rep.context["interval"]
+        exact = verify.cut_ratio(body, CutSpec(direction, alpha))
+        outside += not lo <= exact <= hi
+    assert outside <= 3
 
 
 def test_fuzz_suite_small_run_passes():
