@@ -52,6 +52,26 @@ def _check_profile_dim(dim: int) -> None:
         raise ValueError(f"profile dimension must lie in [2, {MAX_PROFILE_DIM}], got {dim}")
 
 
+def _lin_pow_integrals(r0, r1, h, n: int):
+    """Integrals of ``r**(n-1)`` and ``u * r**(n-1)`` for u in [0, h], where
+    ``r = r0 + (r1-r0)*u/h``.
+
+    In the Bernstein basis every term ``r0**(n-1-k) * r1**k`` is >= 0 when
+    r0, r1 >= 0, so the sums lose nothing to cancellation:
+    ``h * sum_k r0**(n-1-k) r1**k / n`` and
+    ``h**2 * sum_k (k+1) r0**(n-1-k) r1**k / (n(n+1))``.  The loop runs on
+    floats and numpy arrays alike.  ``h * (h * i1)``: a thin slab's ``h * h``
+    alone can underflow while the moment is a normal float.
+    """
+    i0 = i1 = 0.0
+    r1_k = 1.0
+    for k in range(n):
+        i0 = i0 * r0 + r1_k
+        i1 = i1 * r0 + (k + 1) * r1_k
+        r1_k = r1_k * r1
+    return h * i0 / n, h * (h * i1) / (n * (n + 1))
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit vector selecting the slicing axis."""
@@ -77,11 +97,9 @@ class Direction:
         return Direction(tuple(arr / norm))
 
     @staticmethod
-    def axis(dim: int, sign: int = 1) -> "Direction":
-        """The +/- first-coordinate axis in ``R^dim`` (the profile axis)."""
-        coords = [0.0] * dim
-        coords[0] = 1.0 if sign >= 0 else -1.0
-        return Direction(tuple(coords))
+    def axis(dim: int) -> "Direction":
+        """The first-coordinate axis in ``R^dim`` (the profile axis)."""
+        return Direction((1.0,) + (0.0,) * (dim - 1))
 
     @property
     def dim(self) -> int:
@@ -122,7 +140,8 @@ class AnalyticProfile:
 
     The axis is the first coordinate of ``R^dim``; the section at height t
     is a (dim-1)-ball of radius r(t), so its area is ``omega * r(t)**(dim-1)``.
-    All integrals (volume, cut-off volume, first moment) are closed-form.
+    All integrals (volume, cut-off volume, first moment) are closed-form, and
+    the queries are those of ``SlabProfile``.
     """
 
     dim: int
@@ -156,6 +175,43 @@ class AnalyticProfile:
         r = np.interp(t, ts, rs, left=0.0, right=0.0)
         inside = (np.asarray(t) >= ts[0]) & (np.asarray(t) <= ts[-1])
         return np.where(inside, r, 0.0) if np.ndim(t) else (float(r) if inside else 0.0)
+
+    def area_at(self, t):
+        """Section area ``omega * r(t)**(dim-1)``, 0 outside the support.
+        Accepts arrays."""
+        return section_ball_volume(self.dim) * self.radius_at(t) ** (self.dim - 1)
+
+    def volume(self) -> float:
+        return self.cut_volume(-math.inf)
+
+    def moment(self) -> float:
+        """Integral of t * A(t), used for the axial centroid coordinate."""
+        total = 0.0
+        for (a, r0), (b, r1) in zip(self.knots, self.knots[1:]):
+            i0, i1 = _lin_pow_integrals(r0, r1, b - a, self.dim)
+            total += a * i0 + i1
+        return section_ball_volume(self.dim) * total
+
+    def cut_volume(self, t: float) -> float:
+        """Volume of the part at heights >= t."""
+        total = 0.0
+        for (a, r0), (b, r1) in zip(self.knots, self.knots[1:]):
+            if b <= t:
+                continue
+            if a < t:
+                r0 += (r1 - r0) * (t - a) / (b - a)
+                a = t
+            total += _lin_pow_integrals(r0, r1, b - a, self.dim)[0]
+        return section_ball_volume(self.dim) * total
+
+    def max_section(self) -> tuple[float, float]:
+        """Leftmost maximizer of A and the maximal area; for a concave
+        piecewise-linear radius the maximum is attained at a knot."""
+        ts, rs = self.heights(), self.radii()
+        rmax = float(rs.max())
+        thresh = rmax - 1e-13 * max(rmax, 1.0)
+        idx = int(np.argmax(rs >= thresh))
+        return float(ts[idx]), section_ball_volume(self.dim) * float(rs[idx]) ** (self.dim - 1)
 
     def reflected(self) -> "AnalyticProfile":
         """The profile of the same body viewed along the negated axis."""
@@ -316,10 +372,6 @@ class CutSpec:
         n = self.direction.dim
         if not -1.0 < self.alpha < n:
             raise ValueError(f"alpha must lie in (-1, {n}), got {self.alpha}")
-
-
-def dimension(body: Body) -> int:
-    return body.dim
 
 
 def _axial_shift(body, vector) -> float:

@@ -9,6 +9,10 @@ Body files are JSON::
 
     {"type": "polytope", "dim": 3, "vertices": [[x, y, z], ...]}
     {"type": "profile",  "dim": n, "knots": [[t, r], ...]}
+    {"type": "slab_profile", "dim": n, "edges": [...], "s0": [...], "s1": [...], "s2": [...]}
+
+A slab profile is the exact Schwarz symmetral of a 3-D polytope, so
+``symmetrize`` writes every symmetral without loss.
 
 Reals are serialized with Python's shortest round-trip representation.
 An infinite homothety coefficient (the cone with apex at the bottom) is
@@ -32,7 +36,6 @@ from .bodies import (
     Direction,
     Polytope,
     SlabProfile,
-    section_ball_volume,
     validate,
 )
 
@@ -50,58 +53,48 @@ _EXTREMAL_KINDS = (
 # ---------------------------------------------------------------------------
 # body (de)serialization
 
-
-def profile_from_numeric(body: SlabProfile, knot_budget: int = 129) -> AnalyticProfile:
-    """Resample a slab profile onto knots: slab edges plus a uniform grid.
-
-    Keeping the slab edges in the knot set reproduces the section areas
-    there exactly; the budget controls the density in between.
-    """
-    lo, hi = body.support
-    ts = np.unique(np.concatenate([np.asarray(body.edges), np.linspace(lo, hi, knot_budget)]))
-    keep = [ts[0]]
-    for t in ts[1:]:
-        if t - keep[-1] > 1e-12 * (hi - lo):
-            keep.append(t)
-    ts = np.asarray(keep)
-    omega = section_ball_volume(body.dim)
-    rs = (body.area_at(ts) / omega) ** (1.0 / (body.dim - 1))
-    return AnalyticProfile(body.dim, tuple(zip(ts.tolist(), rs.tolist())))
+_SLAB_COLUMNS = ("edges", "s0", "s1", "s2")
 
 
-def body_to_obj(body: Body, knot_budget: int = 129) -> dict:
+def body_to_obj(body: Body) -> dict:
     if isinstance(body, Polytope):
         return {"type": "polytope", "dim": body.dim, "vertices": [list(v) for v in body.vertices]}
     if isinstance(body, SlabProfile):
-        body = profile_from_numeric(body, knot_budget)
+        cols = {k: list(getattr(body, k)) for k in _SLAB_COLUMNS}
+        return {"type": "slab_profile", "dim": body.dim, **cols}
     return {"type": "profile", "dim": body.dim, "knots": [[t, r] for t, r in body.knots]}
+
+
+def _floats(values, key: str) -> tuple:
+    """``values``, a list of numbers, as a tuple of floats."""
+    if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+        raise ValueError(f"{key!r} must be a list of numbers")
+    try:
+        return tuple(float(x) for x in values)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{key!r} holds a number too large for a float") from exc
 
 
 def _rows(obj: dict, key: str, width: int) -> tuple:
     """``obj[key]`` as a tuple of ``width``-tuples of floats."""
     rows = obj.get(key)
-    shaped = isinstance(rows, list) and all(
-        isinstance(row, list) and len(row) == width and all(type(x) in (int, float) for x in row)
-        for row in rows
-    )
-    if not shaped:
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == width for r in rows)):
         raise ValueError(f"{key!r} must be a list of lists of {width} numbers")
-    try:
-        return tuple(tuple(float(x) for x in row) for row in rows)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"{key!r} holds a number too large for a float") from exc
+    return tuple(_floats(row, key) for row in rows)
 
 
 def body_from_obj(obj) -> Body:
     if not isinstance(obj, dict):
         raise ValueError(f"a body must be a JSON object, got {type(obj).__name__}")
     kind, dim = obj.get("type"), obj.get("dim")
-    if kind not in ("polytope", "profile"):
+    if kind not in ("polytope", "profile", "slab_profile"):
         raise ValueError(f"unknown body type {kind!r}")
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if kind == "polytope":
         return Polytope(dim, _rows(obj, "vertices", dim))
+    if kind == "slab_profile":
+        return SlabProfile(dim, *(_floats(obj.get(k), k) for k in _SLAB_COLUMNS))
     return AnalyticProfile(dim, _rows(obj, "knots", 2))
 
 
@@ -286,7 +279,7 @@ def cmd_symmetrize(args) -> int:
         sym = measure.schwarz_symmetral(body, direction)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    return _write_text(json.dumps(body_to_obj(sym, args.knot_budget)) + "\n", args.out)
+    return _write_text(json.dumps(body_to_obj(sym)) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--direction", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--knot-budget", type=int, default=129)
     p.set_defaults(func=cmd_symmetrize)
     return parser
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measure import _lin_pow_integrals
+from .bodies import _lin_pow_integrals
 
 #: method tags for C2Result
 CLOSED_FORM_NEG_ALPHA = "closed_form_neg_alpha"

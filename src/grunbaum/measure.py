@@ -1,36 +1,32 @@
 """Measurement functionals on convex bodies.
 
-Everything here is exact up to floating point:
+Along a direction every body is read through one section table
+(``section_table``), a body of revolution that answers ``area_at``,
+``cut_volume``, ``volume``, ``moment`` and ``max_section``:
 
-* profiles integrate ``(linear radius)**(n-1)`` in closed form via its
-  Bernstein expansion, whose terms are all nonnegative, so nothing cancels
-  for any slope or dimension;
-* polytopes are sliced edge-by-edge, and the section area between two
+* a profile is its own table, viewed along +/- its axis; it integrates
+  ``(linear radius)**(n-1)`` in closed form via the Bernstein expansion,
+  whose terms are all nonnegative, so nothing cancels for any slope or
+  dimension;
+* a polytope is sliced edge-by-edge, and the section area between two
   consecutive vertex heights is a polynomial of degree <= dim-1, which a
   three-point fit recovers exactly.  The fitted slab table is a
-  ``SlabProfile``: the polytope's Schwarz symmetral along that direction,
-  whose closed-form slab integrals answer every query about the polytope.
+  ``SlabProfile``: the polytope's Schwarz symmetral along that direction.
+
+Everything here is exact up to floating point.  A polytope's volume,
+centroid and support come from its hull; all else is one call on a table.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .bodies import (
-    AnalyticProfile,
-    Body,
-    Direction,
-    Polytope,
-    SlabProfile,
-    section_ball_volume,
-)
+from .bodies import AnalyticProfile, Body, Direction, Polytope, SlabProfile, section_ball_volume
 
 _DEDUPE_REL = 1e-12
 _AXIS_TOL = 1e-9
@@ -38,42 +34,6 @@ _AXIS_TOL = 1e-9
 
 class DegenerateBodyError(ValueError):
     """Raised when a body has no interior (zero volume, flat hull, ...)."""
-
-
-@dataclass(frozen=True, eq=False)
-class SectionCurve:
-    """The parallel section function A(t) of a body along a direction."""
-
-    dim: int
-    support: tuple[float, float]
-    evaluate: Callable
-    breakpoints: tuple[float, ...]
-
-    def __call__(self, t):
-        return self.evaluate(t)
-
-
-# ---------------------------------------------------------------------------
-# closed-form integrals of a linear radius raised to a power
-
-
-def _lin_pow_integrals(r0, r1, h, n: int):
-    """Integrals of ``r**(n-1)`` and ``u * r**(n-1)`` for u in [0, h], where
-    ``r = r0 + (r1-r0)*u/h``.
-
-    In the Bernstein basis every term ``r0**(n-1-k) * r1**k`` is >= 0 when
-    r0, r1 >= 0, so the sums lose nothing to cancellation:
-    ``h * sum_k r0**(n-1-k) r1**k / n`` and
-    ``h**2 * sum_k (k+1) r0**(n-1-k) r1**k / (n(n+1))``.  The loop runs on
-    floats and numpy arrays alike.
-    """
-    i0 = i1 = 0.0
-    r1_k = 1.0
-    for k in range(n):
-        i0 = i0 * r0 + r1_k
-        i1 = i1 * r0 + (k + 1) * r1_k
-        r1_k = r1_k * r1
-    return h * i0 / n, h * h * i1 / (n * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -91,53 +51,6 @@ def _axis_sign(direction: Direction, dim: int) -> float:
             f"{tuple(coords)}"
         )
     return 1.0 if coords[0] > 0 else -1.0
-
-
-def _oriented_profile(body: Body, direction: Direction):
-    """The section table of the body along the direction: a polytope's
-    slabs, or a profile viewed along +/- its axis."""
-    if isinstance(body, Polytope):
-        return _poly_slabs(body, tuple(direction.as_array()))
-    return body if _axis_sign(direction, body.dim) > 0 else body.reflected()
-
-
-def _profile_volume(body: AnalyticProfile) -> float:
-    return _profile_cut_volume(body, -math.inf)
-
-
-def _profile_cut_volume(body: AnalyticProfile, t: float) -> float:
-    """Volume of the part of the profile at heights >= t (axis orientation)."""
-    knots = body.knots
-    total = 0.0
-    for (a, r0), (b, r1) in zip(knots, knots[1:]):
-        if b <= t:
-            continue
-        if a < t:
-            r0 += (r1 - r0) * (t - a) / (b - a)
-            a = t
-        total += _lin_pow_integrals(r0, r1, b - a, body.dim)[0]
-    return section_ball_volume(body.dim) * total
-
-
-def _profile_moment(body: AnalyticProfile) -> float:
-    """Integral of t * A(t), used for the axial centroid coordinate."""
-    knots = body.knots
-    total = 0.0
-    for (a, r0), (b, r1) in zip(knots, knots[1:]):
-        i0, i1 = _lin_pow_integrals(r0, r1, b - a, body.dim)
-        total += a * i0 + i1
-    return section_ball_volume(body.dim) * total
-
-
-def _profile_max_section(body: AnalyticProfile) -> tuple[float, float]:
-    """Leftmost maximizer of A; for a concave piecewise-linear radius the
-    maximum is attained at a knot."""
-    ts, rs = body.heights(), body.radii()
-    rmax = float(rs.max())
-    thresh = rmax - 1e-13 * max(rmax, 1.0)
-    idx = int(np.argmax(rs >= thresh))
-    omega = section_ball_volume(body.dim)
-    return float(ts[idx]), omega * float(rs[idx]) ** (body.dim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +178,15 @@ def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
 # public API
 
 
-def section_curve(body: Body, direction: Direction) -> SectionCurve:
-    """The parallel section function of the body along the direction."""
-    if isinstance(body, Polytope) and direction.dim != body.dim:
-        raise ValueError("direction and body dimensions differ")
-    prof = _oriented_profile(body, direction)
-    if isinstance(prof, AnalyticProfile):
-        omega = section_ball_volume(prof.dim)
-        n = prof.dim
-
-        def evaluate(t, _p=prof, _o=omega, _n=n):
-            return _o * _p.radius_at(t) ** (_n - 1)
-
-        return SectionCurve(prof.dim, prof.support, evaluate, tuple(prof.heights()))
-    return SectionCurve(prof.dim, prof.support, prof.area_at, prof.edges)
+def section_table(body: Body, direction: Direction):
+    """The body seen along the direction as a body of revolution: a
+    polytope's slab table (a ``SlabProfile``), or a profile viewed along +/-
+    its axis.  Every section and cut query is one call on it."""
+    if isinstance(body, Polytope):
+        if direction.dim != body.dim:
+            raise ValueError("direction and body dimensions differ")
+        return _poly_slabs(body, direction.coords)
+    return body if _axis_sign(direction, body.dim) > 0 else body.reflected()
 
 
 def support(body: Body, direction: Direction) -> float:
@@ -293,33 +201,21 @@ def support(body: Body, direction: Direction) -> float:
 
 def section_area(body: Body, direction: Direction, t: float) -> float:
     """(dim-1)-volume of the slice at signed height t along the direction."""
-    prof = _oriented_profile(body, direction)
-    if isinstance(prof, AnalyticProfile):
-        return section_ball_volume(prof.dim) * float(prof.radius_at(float(t))) ** (
-            prof.dim - 1
-        )
-    return float(prof.area_at(float(t)))
+    return float(section_table(body, direction).area_at(float(t)))
 
 
 def cut_volume(body: Body, direction: Direction, t: float) -> float:
     """Volume of the part of the body at heights >= t along the direction."""
-    prof = _oriented_profile(body, direction)
-    if isinstance(prof, AnalyticProfile):
-        return _profile_cut_volume(prof, float(t))
-    return prof.cut_volume(float(t))
+    return section_table(body, direction).cut_volume(float(t))
 
 
 def volume(body: Body) -> float:
-    """The volume; a body whose volume is not a normal positive float (below
-    ``sys.float_info.min``, where ratios lose their digits) is degenerate."""
-    if isinstance(body, Polytope):
-        vol = _hull_data(body)[3]
-    elif isinstance(body, AnalyticProfile):
-        vol = _profile_volume(body)
-    else:
-        vol = body.volume()
-    if not vol >= sys.float_info.min:
-        raise DegenerateBodyError(f"body volume {vol} is not a normal positive float")
+    """The volume; a body whose volume is not a finite normal float (below
+    ``sys.float_info.min``, where ratios lose their digits, or overflowed)
+    is degenerate."""
+    vol = _hull_data(body)[3] if isinstance(body, Polytope) else body.volume()
+    if not sys.float_info.min <= vol < math.inf:
+        raise DegenerateBodyError(f"body volume {vol} is not a finite normal positive float")
     return vol
 
 
@@ -333,19 +229,13 @@ def centroid(body: Body) -> tuple[float, ...]:
 
 def centroid_coordinate(body: Body, direction: Direction) -> float:
     """The component of the centroid along the direction."""
-    if isinstance(body, Polytope):
-        return float(np.dot(_hull_data(body)[4], direction.as_array()))
-    prof = _oriented_profile(body, direction)
-    moment = _profile_moment(prof) if isinstance(prof, AnalyticProfile) else prof.moment()
-    return moment / volume(prof)
+    table = section_table(body, direction)
+    return table.moment() / volume(table)
 
 
 def max_section(body: Body, direction: Direction) -> tuple[float, float]:
     """Leftmost maximizer t0 of A(t) and the maximal section area A(t0)."""
-    prof = _oriented_profile(body, direction)
-    if isinstance(prof, AnalyticProfile):
-        return _profile_max_section(prof)
-    return prof.max_section()
+    return section_table(body, direction).max_section()
 
 
 def schwarz_symmetral(body: Body, direction: Direction):
@@ -355,7 +245,7 @@ def schwarz_symmetral(body: Body, direction: Direction):
     table: an AnalyticProfile in the plane, where chord lengths and hence
     radii are piecewise linear, and a SlabProfile in 3-D.
     """
-    slabs = _oriented_profile(body, direction)
+    slabs = section_table(body, direction)
     if isinstance(body, Polytope) and body.dim == 2:
         omega = section_ball_volume(2)
         knots = [(t, slabs.area_at(t) / omega) for t in slabs.edges]

@@ -1,8 +1,11 @@
 """Inequality verification: center a body, cut it, compare against the bounds.
 
-Every check first recenters the body at its centroid (the bounds are
-stated for centered bodies, and translating the body once is equivalent to
-relocating the cut).  Checks return a ``VerifyReport``; a report passes
+The bounds are stated for centered bodies and depend on a body only
+through its section function A(t) and cut volume V(t) along the direction.
+So every exact check reads one table: the body's ``measure.section_table``
+translated by minus its centroid coordinate; no centered copy of the body
+is built.  The Monte Carlo backend samples the centered body itself
+(``center``).  Checks return a ``VerifyReport``; a report passes
 when ``lower - tolerance <= measured <= upper + tolerance`` with absent
 sides skipped.  Exact backends use tolerance 1e-9.  The Monte Carlo
 backend estimates a cut ratio from one draw (hits above the cut over hits
@@ -36,6 +39,10 @@ MONTE_CARLO = "monte_carlo"
 #: z of the Wilson score interval used by Monte Carlo backed checks
 MC_SIGMAS = 4.0
 _STRATUM_EPS = 1e-3
+#: concavity grid size; knots per fuzz profile; points per fuzz polytope
+_GRID_POINTS = 257
+_PROFILE_KNOTS = 6
+_POLYTOPE_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -147,20 +154,23 @@ def cut_height(body: Body, cut: CutSpec) -> float:
     return cut.alpha * measure.support(body, cut.direction.negated())
 
 
+def _centered_table(body: Body, direction: Direction):
+    """The body's section table along the direction, translated so that the
+    centroid sits at height 0: all an exact check needs to know."""
+    table = measure.section_table(body, direction)
+    return translate(table, -measure.centroid_coordinate(body, direction))
+
+
 def cut_ratio(body: Body, cut: CutSpec) -> float:
     """Volume fraction of the centered body above its alpha-cut."""
-    centered = center(body)
-    t = cut_height(centered, cut)
-    return measure.cut_volume(centered, cut.direction, t) / measure.volume(centered)
+    table = _centered_table(body, cut.direction)
+    return table.cut_volume(-cut.alpha * table.support[0]) / measure.volume(table)
 
 
 def section_ratio(body: Body, cut: CutSpec) -> float:
     """Section at the alpha-cut of the centered body over its maximal section."""
-    centered = center(body)
-    t = cut_height(centered, cut)
-    sec = measure.section_area(centered, cut.direction, t)
-    _, best = measure.max_section(centered, cut.direction)
-    return sec / best
+    table = _centered_table(body, cut.direction)
+    return float(table.area_at(-cut.alpha * table.support[0])) / table.max_section()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +251,10 @@ def check_minkowski_radon(
 ) -> VerifyReport:
     """1/n <= h(-xi)/h(xi) <= n for the centered body."""
     n = body.dim
-    centered = center(body)
-    h_plus = measure.support(centered, direction)
-    h_minus = measure.support(centered, direction.negated())
+    lo, hi = _centered_table(body, direction).support
     ctx = {**describe(body), "direction": list(direction.coords)}
     ctx.update(context or {})
-    return _make_report(
-        "support_ratio", h_minus / h_plus, 1.0 / n, float(n), tol, EXACT, ctx
-    )
+    return _make_report("support_ratio", -lo / hi, 1.0 / n, float(n), tol, EXACT, ctx)
 
 
 def _worst_midpoint_violation(values: np.ndarray) -> float:
@@ -263,49 +269,43 @@ def check_concavity(
     body: Body,
     direction: Direction,
     which: str = "A",
-    grid_points: int = 257,
     tol: float = 1e-9,
     context: Optional[dict] = None,
 ) -> VerifyReport:
     """Midpoint concavity of A^(1/(n-1)) (which="A") or V^(1/n) (which="V")
-    on a uniform grid in the open support; measured is the worst violation."""
-    n = body.dim
-    if which == "A":
-        curve = measure.section_curve(body, direction)
-        lo, hi = curve.support
-        grid = np.linspace(lo, hi, grid_points + 2)[1:-1]
-        vals = np.asarray([float(curve.evaluate(t)) for t in grid])
-        root = np.maximum(vals, 0.0) ** (1.0 / (n - 1))
-        quantity = "concavity_A"
-    elif which == "V":
-        lo = -measure.support(body, direction.negated())
-        hi = measure.support(body, direction)
-        grid = np.linspace(lo, hi, grid_points + 2)[1:-1]
-        vals = np.asarray([measure.cut_volume(body, direction, t) for t in grid])
-        root = np.maximum(vals, 0.0) ** (1.0 / n)
-        quantity = "concavity_V"
-    else:
+    of the centered body on a uniform grid in the open support.  Both roots
+    scale linearly under dilation, so measured is the worst violation over
+    the largest root: the verdict does not depend on the body's size."""
+    if which not in ("A", "V"):
         raise ValueError(f"which must be 'A' or 'V', got {which!r}")
-    worst = _worst_midpoint_violation(root)
+    n = body.dim
+    table = _centered_table(body, direction)
+    grid = np.linspace(*table.support, _GRID_POINTS + 2)[1:-1]
+    if which == "A":
+        root = np.maximum(table.area_at(grid), 0.0) ** (1.0 / (n - 1))
+    else:
+        vals = np.asarray([table.cut_volume(t) for t in grid.tolist()])
+        root = np.maximum(vals, 0.0) ** (1.0 / n)
+    worst = _worst_midpoint_violation(root) / float(root.max())
     ctx = {**describe(body), "direction": list(direction.coords), "which": which}
     ctx.update(context or {})
-    return _make_report(quantity, worst, None, 0.0, tol, EXACT, ctx)
+    return _make_report(f"concavity_{which}", worst, None, 0.0, tol, EXACT, ctx)
 
 
 def check_symmetral_consistency(
     body: Body, cut: CutSpec, tol: float = 1e-9, context: Optional[dict] = None
 ) -> VerifyReport:
     """Rounding the body must preserve volume and every cut-off volume;
-    measured is the worst relative deviation over 64 sampled heights."""
-    centered = center(body)
-    sym = measure.schwarz_symmetral(centered, cut.direction)
+    measured is the worst relative deviation over 64 sampled heights.  Both
+    sides move alike under translation, so the body is measured as given."""
+    sym = measure.schwarz_symmetral(body, cut.direction)
     axis = Direction.axis(sym.dim)
-    vol = measure.volume(centered)
+    vol = measure.volume(body)
     worst = abs(vol - measure.volume(sym)) / vol
-    lo = -measure.support(centered, cut.direction.negated())
-    hi = measure.support(centered, cut.direction)
+    lo = -measure.support(body, cut.direction.negated())
+    hi = measure.support(body, cut.direction)
     for t in np.linspace(lo, hi, 64):
-        a = measure.cut_volume(centered, cut.direction, float(t))
+        a = measure.cut_volume(body, cut.direction, float(t))
         b = measure.cut_volume(sym, axis, float(t))
         worst = max(worst, abs(a - b) / vol)
     ctx = {**describe(body), "direction": list(cut.direction.coords)}
@@ -336,8 +336,6 @@ class FuzzConfig:
     mc_samples: int = 0
     seed: int = 20240802
     tol: float = 1e-9
-    profile_knots: int = 6
-    polytope_points: int = 12
 
 
 @dataclass(frozen=True)
@@ -422,14 +420,14 @@ def fuzz_corpus(config: FuzzConfig = FuzzConfig()):
         for _ in range(config.profiles_per_dim):
             body_seed = (config.seed * 1_000_003 + counter) % (1 << 63)
             counter += 1
-            body = oracle.random_profile(n, config.profile_knots, body_seed)
+            body = oracle.random_profile(n, _PROFILE_KNOTS, body_seed)
             corpus.append((body, Direction.axis(n), body_seed))
         if n not in (2, 3):
             continue
         for _ in range(config.polytopes_per_dim):
             body_seed = (config.seed * 1_000_003 + counter) % (1 << 63)
             counter += 1
-            body = oracle.random_polytope(n, config.polytope_points, body_seed)
+            body = oracle.random_polytope(n, _POLYTOPE_POINTS, body_seed)
             vec = oracle.rng_for(body_seed, shard=1).standard_normal(n)
             corpus.append((body, Direction.from_vector(vec), body_seed))
     return tuple(corpus)

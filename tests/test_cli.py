@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,14 +115,28 @@ def test_symmetrize_invalid_body_exit_2(tmp_path, capsys):
     assert "concave" in err
 
 
+def test_verify_thin_wide_cone_passes(tmp_path, capsys):
+    """A cone whose h * h underflows still has its centroid off the base."""
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"type": "profile", "dim": 20, "knots": [[0, 1e15], [1e-170, 0]]}))
+    code, out, err = run(capsys, "verify", "--body", str(path), "--alpha", "0.02")
+    assert code == 0, out + err
+    reports = [verify.report_from_json(line) for line in out.splitlines()]
+    support = next(r for r in reports if r.quantity == "support_ratio")
+    assert support.measured == pytest.approx(0.05, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         {"type": "profile", "dim": dim, "knots": [[0, 1], [1, 0]]}
         for dim in (437, 1200, 10**400)
     ]
-    + [{"type": "profile", "dim": 300, "knots": [[0, 1e-3], [1, 1e-3]]}],
-    ids=["dim437", "dim1200", "dim1e400", "dim300_tiny"],
+    + [
+        {"type": "profile", "dim": 300, "knots": [[0, 1e-3], [1, 1e-3]]},
+        {"type": "profile", "dim": 400, "knots": [[0, 10], [1, 0]]},
+    ],
+    ids=["dim437", "dim1200", "dim1e400", "dim300_tiny", "dim400_huge"],
 )
 def test_verify_beyond_float_range_exits_2(tmp_path, capsys, obj):
     """Bodies whose volume is no normal float are rejected, not misjudged."""
@@ -210,13 +225,11 @@ def test_extremal_t5_above_threshold_notes_nonuniqueness(capsys):
 def test_symmetrize_cube_constant_profile(tmp_path, capsys):
     cube = Polytope(3, tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)))
     path = write_body(tmp_path, cube)
-    code, out, _ = run(
-        capsys, "symmetrize", "--body", path, "--direction", "0,0,1", "--knot-budget", "17"
-    )
+    code, out, _ = run(capsys, "symmetrize", "--body", path, "--direction", "0,0,1")
     assert code == 0
     prof = cli.body_from_obj(json.loads(out))
-    radii = prof.radii()
-    assert radii.max() - radii.min() < 1e-12
+    areas = prof.area_at(np.linspace(*prof.support, 17))
+    assert areas.max() - areas.min() < 1e-12
     assert measure.volume(prof) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -249,21 +262,37 @@ def test_symmetrize_3d_matches_areas_at_breakpoints(tmp_path, capsys):
     code, out, _ = run(capsys, "symmetrize", "--body", path, "--direction", "0.2,-1,0.4")
     assert code == 0
     prof = cli.body_from_obj(json.loads(out))
-    curve = measure.section_curve(body, d)
+    table = measure.section_table(body, d)
     axis = Direction.axis(3)
-    for t in curve.breakpoints:
-        expected = float(curve.evaluate(t))
-        got = measure.section_area(prof, axis, float(t))
-        assert got == pytest.approx(expected, abs=1e-9 * max(expected, 1.0))
+    for t in table.edges:
+        assert measure.section_area(prof, axis, t) == measure.section_area(body, d, t)
+
+
+def test_symmetrize_output_passes_verify(tmp_path, capsys):
+    from grunbaum import oracle
+
+    path = write_body(tmp_path, oracle.random_polytope(3, 12, 11))
+    sym_path = str(tmp_path / "sym.json")
+    argv = ("symmetrize", "--body", path, "--direction", "1,2,-0.5", "--out", sym_path)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    with open(sym_path, encoding="utf-8") as fh:
+        assert json.load(fh)["type"] == "slab_profile"
+    code, out, err = run(capsys, "verify", "--body", sym_path, "--alpha", "0.3")
+    assert code == 0, err
+    assert len(out.splitlines()) == 6
 
 
 def test_body_json_round_trip(tmp_path):
+    from grunbaum import oracle
+
     bodies = [
         grunbaum_cone(3),
         Polytope(2, ((0, 0), (1, 0), (0, 1))),
+        measure.schwarz_symmetral(oracle.random_polytope(3, 12, 5), Direction.axis(3)),
     ]
     for body in bodies:
-        assert cli.body_from_obj(cli.body_to_obj(body)) == body
+        assert cli.body_from_obj(json.loads(json.dumps(cli.body_to_obj(body)))) == body
 
 
 def test_body_json_rejects_unknown_type():
@@ -285,32 +314,45 @@ _NOT_A_NUMBER = st.one_of(
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
 
 
+_SLAB_COLUMNS = ("edges", "s0", "s1", "s2")
+
+
 @st.composite
 def malformed_bodies(draw):
     """A JSON value with exactly one flaw that makes it no body description."""
-    key = draw(st.sampled_from(["vertices", "knots"]))
+    key = draw(st.sampled_from(["vertices", "knots", "slabs"]))
     if key == "vertices":
         obj = {"type": "polytope", "dim": 2, key: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
-    else:
+    elif key == "knots":
         obj = {"type": "profile", "dim": 2, key: [[0.0, 1.0], [1.0, 0.0]]}
-    rows = obj[key]  # every row has 2 entries
+    else:
+        obj = {"type": "slab_profile", "dim": 2, "edges": [0.0, 1.0]}
+        obj.update(s0=[1.0], s1=[0.0], s2=[0.0])
+        key = draw(st.sampled_from(_SLAB_COLUMNS))
+    rows = obj[key]  # every row has 2 entries; a slab column is flat
+    flat = obj["type"] == "slab_profile"
     flaw = draw(st.sampled_from(["top", "type", "dim", "rows", "row", "entry"]))
     if flaw == "top":
         not_a_dict = _NOT_A_LIST.filter(lambda v: not isinstance(v, dict))
         return draw(st.one_of(not_a_dict, st.lists(st.just(obj), max_size=2)))
     if flaw == "type":
         kinds = st.one_of(_NOT_A_LIST, st.text(max_size=9))
-        obj["type"] = draw(kinds.filter(lambda v: v not in ("polytope", "profile")))
+        obj["type"] = draw(kinds.filter(lambda v: v not in ("polytope", "profile", "slab_profile")))
     elif flaw == "dim":
         obj["dim"] = draw(st.one_of(_NOT_A_NUMBER, st.floats(), st.integers(max_value=1)))
     elif flaw == "rows":
         obj[key] = draw(_NOT_A_LIST)
+    elif flaw == "row" and flat:  # a column one entry too long
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.floats(-9, 9)))
     elif flaw == "row":
         wrong_width = st.lists(st.floats(-9, 9), max_size=4).filter(lambda r: len(r) != 2)
         rows.insert(draw(st.integers(0, len(rows))), draw(st.one_of(_NOT_A_LIST, wrong_width)))
     else:
-        bad = st.one_of(_NOT_A_NUMBER, _NON_FINITE)
-        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(bad)
+        bad = draw(st.one_of(_NOT_A_NUMBER, _NON_FINITE))
+        if flat:
+            rows[draw(st.integers(0, len(rows) - 1))] = bad
+        else:
+            rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = bad
     return obj
 
 

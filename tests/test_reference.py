@@ -10,7 +10,7 @@ from grunbaum import constants as C
 from grunbaum import verify
 from grunbaum.bodies import CutSpec, Direction
 from grunbaum.extremal import grunbaum_cone, upper_extremizer
-from grunbaum.measure import _lin_pow_integrals
+from grunbaum.bodies import _lin_pow_integrals
 
 DIMS = (2, 10, 50, 200)
 

@@ -105,6 +105,26 @@ def test_check_concavity_cone_is_equality_case():
     assert rep.passed
 
 
+@pytest.mark.parametrize("which", ["A", "V"])
+def test_concavity_verdict_is_scale_free(which):
+    """Both roots scale linearly under dilation, so the measured violation
+    and the verdict do not depend on the body's size."""
+    thin_wide_cone = AnalyticProfile(20, ((0.0, 1e15), (1e-170, 0.0)))
+    cases = [
+        (oracle.random_polytope(3, 12, 3), Direction.from_vector((0.3, -1.0, 0.5)), 1e8),
+        (oracle.random_profile(4, 6, 8), Direction.axis(4), 1e8),
+        # dilated by 1e8 its radius**19 would overflow: 10 is about the largest factor
+        (thin_wide_cone, Direction.axis(20), 10.0),
+    ]
+    for body, d, big in cases:
+        reps = [verify.check_concavity(dilate(body, f), d, which) for f in (1e-6, 1.0, big)]
+        assert all(r.passed for r in reps)
+        assert max(r.measured for r in reps) - min(r.measured for r in reps) < 1e-12
+    corrupted = AnalyticProfile(2, ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))
+    for f in (1e-6, 1.0, 1e8):
+        assert not verify.check_concavity(dilate(corrupted, f), AXIS2, "A").passed
+
+
 def test_check_concavity_rejects_bad_which():
     with pytest.raises(ValueError):
         verify.check_concavity(E.grunbaum_cone(2), AXIS2, "X")
@@ -229,6 +249,20 @@ def test_mc_interval_coverage():
         exact = verify.cut_ratio(body, CutSpec(direction, alpha))
         outside += not lo <= exact <= hi
     assert outside <= 3
+
+
+def test_exact_checks_build_one_hull_and_one_slab_table():
+    """The exact checks of one fresh 3-D polytope read the body's own hull
+    and slab table; no centered copy of the body is built."""
+    body = oracle.random_polytope(3, 12, 4242)
+    d = Direction.from_vector((0.4, 1.0, -0.7))
+    measure._hull_data.cache_clear()
+    measure._poly_slabs.cache_clear()
+    reports = []
+    verify._fuzz_one_body(body, d, 4242, verify.FuzzConfig(mc_samples=0), reports)
+    assert len(reports) == 11 and all(r.passed for r in reports)
+    assert measure._hull_data.cache_info().misses == 1
+    assert measure._poly_slabs.cache_info().misses == 1
 
 
 def test_fuzz_suite_small_run_passes():
