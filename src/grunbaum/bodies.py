@@ -83,6 +83,8 @@ class Direction:
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ValueError("a direction needs at least 2 coordinates")
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError("direction coordinates must be finite")
         norm = math.sqrt(sum(c * c for c in coords))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"direction must be a unit vector, |v| = {norm!r}")
@@ -92,8 +94,8 @@ class Direction:
         """Normalize an arbitrary nonzero vector into a Direction."""
         arr = np.asarray(v, dtype=float)
         norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm}")
         return Direction(tuple(arr / norm))
 
     @staticmethod

@@ -161,12 +161,15 @@ def cmd_sweep(args) -> int:
             2,
         )
     lines = ["alpha,c1,c2,d,lambda0"]
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
-        triple = constants.bounds(float(alpha), args.n)
-        lines.append(
-            f"{float(alpha)!r},{triple.c1!r},{triple.c2.value!r},{triple.d!r},"
-            f"{_fmt_lambda(triple.c2.argmax_lambda)!s}"
-        )
+    try:
+        for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
+            triple = constants.bounds(float(alpha), args.n)
+            lines.append(
+                f"{float(alpha)!r},{triple.c1!r},{triple.c2.value!r},{triple.d!r},"
+                f"{_fmt_lambda(triple.c2.argmax_lambda)!s}"
+            )
+    except ValueError as exc:  # a dimension below 2
+        return _fail(str(exc), 2)
     return _write_text("\n".join(lines) + "\n", args.out)
 
 
@@ -192,7 +195,10 @@ def cmd_verify(args) -> int:
             if args.direction is None
             else _parse_direction(args.direction, body.dim)
         )
+        measure.section_table(body, direction)  # cached; rejects an off-axis profile direction
         cut = CutSpec(direction, args.alpha)
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         if args.mc_samples != 0 and args.mc_samples < oracle.MIN_SAMPLES:
             raise ValueError(
                 f"--mc-samples must be 0 (off) or at least {oracle.MIN_SAMPLES}, "

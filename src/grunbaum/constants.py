@@ -13,8 +13,10 @@ internally every cone is reparametrized by s in [0, 1] via its homothety
 coefficient lambda = 1 + 1/z, s = lambda/(1+lambda): the radius is then
 r(t) = (1-s)(1-t) + s*t on [0, 1], a two-knot profile whose integrals come
 from the same cancellation-free kernel as every profile body in
-``measure``, on the whole closed interval, slab (s=1/2) and cone
-(s in {0, 1}) endpoints included.
+``bodies``, on the whole closed interval, slab (s=1/2) and cone
+(s in {0, 1}) endpoints included.  Cut fractions do not depend on scale,
+so both radii are divided by the larger one first: the kernel's largest
+term is then 1 and nothing underflows at any n.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ CLOSED_FORM_N2 = "closed_form_n2"
 NUMERIC_SUP = "numeric_sup"
 
 _SCAN_POINTS = 4097
-_NEAR_OPTIMUM = 1e-9
-#: a scan point is a local maximum only if it beats both neighbours by more
-#: than this, relative: rounding wiggles of the scan are not maxima
-_WIGGLE = 1e-13
 
 
 def _check_n(n: int) -> int:
@@ -134,6 +132,16 @@ def _s_to_lambda(s: float) -> float:
     return s / (1.0 - s)
 
 
+def _cone_radii(s):
+    """End radii (1-s, s) of the cone indexed by s, divided by the larger.
+
+    Floats stay floats: numpy scalars would triple the cost of the
+    golden-section refinement.
+    """
+    top = np.maximum(s, 1.0 - s) if np.ndim(s) else max(s, 1.0 - s)
+    return (1.0 - s) / top, s / top
+
+
 def _phi(s, alpha: float, n: int):
     """Cut fraction of the cone r(t) = (1-s)(1-t) + s*t on [0, 1] above the
     height G = (alpha+1) times its centroid height.
@@ -141,13 +149,12 @@ def _phi(s, alpha: float, n: int):
     Clamping G to [0, 1] covers the cuts outside the body: the tail is 0 at
     G = 1 and the whole volume at G = 0.
     """
-    i0, i1 = _lin_pow_integrals(1.0 - s, s, 1.0, n)
+    r0, r1 = _cone_radii(s)
+    i0, i1 = _lin_pow_integrals(r0, r1, 1.0, n)
     g = (alpha + 1.0) * i1 / i0
-    # floats stay floats: numpy scalars would triple the cost of the
-    # golden-section refinements
     big_g = np.clip(g, 0.0, 1.0) if np.ndim(g) else min(max(g, 0.0), 1.0)
-    r_g = (1.0 - s) * (1.0 - big_g) + s * big_g
-    tail, _ = _lin_pow_integrals(r_g, s, 1.0 - big_g, n)
+    r_g = r0 * (1.0 - big_g) + r1 * big_g
+    tail, _ = _lin_pow_integrals(r_g, r1, 1.0 - big_g, n)
     return tail / i0
 
 
@@ -162,8 +169,7 @@ def g_sub_l(z: float, alpha: float, n: int) -> float:
     """Scaled centroid height (alpha+1)*g of the truncated cone indexed by z."""
     n = _check_n(n)
     z = _check_z(z)
-    s = _z_to_s(z)
-    i0, i1 = _lin_pow_integrals(1.0 - s, s, 1.0, n)
+    i0, i1 = _lin_pow_integrals(*_cone_radii(_z_to_s(z)), 1.0, n)
     return (alpha + 1.0) * i1 / i0
 
 
@@ -189,15 +195,16 @@ class C2Result:
     """The sharp upper cut-fraction bound and the cone attaining it.
 
     ``argmax_lambda`` is the homothety coefficient of the extremal truncated
-    cone (0 = cone with apex on top, inf = cone with apex at the bottom);
-    ``near_optima_lambda`` lists other maximizers within 1e-9 in value.
+    cone (0 = cone with apex on top, inf = cone with apex at the bottom), and
+    ``argmax_z`` the same cone as z = 1/(lambda - 1).  Where the cut
+    fraction is flat to rounding around its maximum, this is one of many
+    cones whose cut fraction equals ``value`` to rounding.
     """
 
     value: float
     argmax_z: float
     argmax_lambda: float
     method: str
-    near_optima_lambda: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,52 +232,33 @@ def _golden_max(f, a, b, xtol=1e-12):
     return x, f(x)
 
 
-def _numeric_sup(alpha: float, n: int):
-    """Scan the compactified cone family, refine every bracketed maximum.
+def _numeric_sup(alpha: float, n: int) -> tuple[float, float]:
+    """Scan the compactified cone family, refine the scan's best point.
 
-    Candidates are the endpoints, the best grid point and every interior
-    local maximum that rises above both neighbours by more than
-    ``_WIGGLE`` (relative).  Stretches where the scan is flat to rounding
-    (near s = 0 at large n) or clamped to zero (large alpha) therefore
-    contribute no interior candidates, which keeps the number of
-    refinements small.
+    One golden-section search runs between the best grid point's two
+    neighbours; the grid point stands where the search ends lower, as on
+    stretches that are flat to rounding or clamped to zero.
     """
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
     vals = _phi(grid, alpha, n)
-    cand = {0, len(grid) - 1, int(np.argmax(vals))}
-    mid = vals[1:-1] - _WIGGLE * max(1.0, float(vals.max()))
-    interior = np.nonzero((mid > vals[:-2]) & (mid > vals[2:]))[0] + 1
-    cand.update(int(i) for i in interior)
-    candidates = []
-    for i in sorted(cand):
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-        s_star, v_star = _golden_max(lambda s: _phi(s, alpha, n), lo, hi)
-        if v_star < vals[i]:
-            s_star, v_star = float(grid[i]), float(vals[i])
-        candidates.append((v_star, s_star))
-    candidates.sort(reverse=True)
-    best_v, best_s = candidates[0]
-    near = []
-    for v, s in candidates[1:]:
-        if best_v - v > _NEAR_OPTIMUM:
-            break
-        if all(abs(s - other) > 1e-9 for other in near) and abs(s - best_s) > 1e-9:
-            near.append(s)
-    return best_v, best_s, tuple(near)
+    i = int(np.argmax(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, _SCAN_POINTS - 1)])
+    s_star, v_star = _golden_max(lambda s: _phi(s, alpha, n), lo, hi)
+    if v_star < vals[i]:
+        return float(vals[i]), float(grid[i])
+    return v_star, s_star
 
 
 def c2_numeric_sup(alpha: float, n: int) -> C2Result:
     """The supremum branch evaluated numerically (any alpha, any n >= 2)."""
     n = _check_n(n)
     alpha = _check_alpha(alpha, n)
-    value, s_star, near = _numeric_sup(alpha, n)
+    value, s_star = _numeric_sup(alpha, n)
     return C2Result(
         value=value,
         argmax_z=_s_to_z(s_star),
         argmax_lambda=_s_to_lambda(s_star),
         method=NUMERIC_SUP,
-        near_optima_lambda=tuple(_s_to_lambda(s) for s in near),
     )
 
 
@@ -296,13 +284,7 @@ def c2(alpha: float, n: int) -> C2Result:
                 f"numeric supremum {numeric.value!r} disagrees with the planar "
                 f"closed form {closed!r} at alpha={alpha}"
             )
-        return C2Result(
-            closed,
-            numeric.argmax_z,
-            numeric.argmax_lambda,
-            CLOSED_FORM_N2,
-            numeric.near_optima_lambda,
-        )
+        return C2Result(closed, numeric.argmax_z, numeric.argmax_lambda, CLOSED_FORM_N2)
     return numeric
 
 

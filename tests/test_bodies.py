@@ -28,6 +28,11 @@ from grunbaum.extremal import grunbaum_cone
 def test_direction_must_be_unit():
     with pytest.raises(ValueError):
         Direction((1.0, 1.0))
+    for bad in ((math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Direction(bad)
+        with pytest.raises(ValueError):
+            Direction.from_vector(bad)
     d = Direction.from_vector((1.0, 1.0))
     assert math.isclose(np.linalg.norm(d.as_array()), 1.0, abs_tol=1e-12)
 

@@ -50,6 +50,17 @@ def test_constants_range_error(capsys):
     assert "alpha" in err
 
 
+def test_constants_beyond_profile_dimensions(capsys):
+    """c2 exists at any n; its extremal cone is a profile, capped in dimension."""
+    code, out, err = run(capsys, "constants", "--n", "1100", "--alpha", "0.3")
+    assert code == 0, err
+    assert json.loads(out)["c2"] == pytest.approx(0.350651, abs=1e-6)
+    code, out, err = run(capsys, "extremal", "--kind", "upper", "--n", "1100", "--alpha", "0.3")
+    assert code == 2
+    assert out == ""
+    assert "profile dimension" in err
+
+
 def test_sweep_rows_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -78,6 +89,15 @@ def test_sweep_single_step(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--n", "2", "--alpha-min", "1.0", "--alpha-max", "0.5", "--steps", "3")
     assert code == 2
+
+
+def test_sweep_bad_dimension_exit_2(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--n", "1", "--alpha-min", "-0.5", "--alpha-max", "0.5", "--steps", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "dimension" in err
 
 
 def test_sweep_unwritable_path(capsys):
@@ -176,6 +196,26 @@ def test_verify_bad_mc_samples_exit_2(tmp_path, capsys, samples):
     assert code == 2
     assert out == ""
     assert "--mc-samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, flag, value, message",
+    [
+        ("polytope", "--direction", "nan,1", "normalize"),
+        ("polytope", "--direction", "inf,1", "normalize"),
+        ("profile", "--direction", "1,1e-3,0", "axis"),
+        ("polytope", "--tol", "nan", "--tol"),
+    ],
+    ids=["direction_nan", "direction_inf", "profile_off_axis", "tol_nan"],
+)
+def test_verify_bad_option_exit_2(tmp_path, capsys, body, flag, value, message):
+    triangle = Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    shape = triangle if body == "polytope" else grunbaum_cone(3)
+    path = write_body(tmp_path, shape)
+    code, out, err = run(capsys, "verify", "--body", path, flag, value)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_extremal_kinds_round_trip(tmp_path, capsys):

@@ -195,7 +195,9 @@ def test_psi_v_shape_around_beta0():
 
 
 def test_c2_refines_only_real_maxima(monkeypatch):
-    """Rounding wiggles of the flat scan near s = 0 are no local maxima."""
+    """One golden-section search per alpha > 0 row, bracketing the scan's
+    argmax, also where the scan is flat to rounding over hundreds of points
+    (large n near s = 0)."""
     calls = []
     inner = C._golden_max
 
@@ -204,9 +206,13 @@ def test_c2_refines_only_real_maxima(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(C, "_golden_max", counted)
-    res = C.c2_numeric_sup(0.3, 50)
-    assert len(calls) <= 3
-    assert res.value == pytest.approx(0.350644, abs=1e-6)
+    rows = [(alpha, n) for n in (3, 50, 1100) for alpha in (0.05, 0.3, 1.0, n - 0.5)]
+    for alpha, n in rows + [(0.3, 5000)]:
+        calls.clear()
+        res = C.c2_numeric_sup(alpha, n)
+        assert len(calls) == 1, (alpha, n)
+        if (alpha, n) == (0.3, 50):
+            assert res.value == pytest.approx(0.350644, abs=1e-6)
 
 
 def test_c1_below_c2():
