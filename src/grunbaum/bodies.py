@@ -91,12 +91,15 @@ class Direction:
 
     @staticmethod
     def from_vector(v: Sequence[float]) -> "Direction":
-        """Normalize an arbitrary nonzero vector into a Direction."""
+        """Normalize an arbitrary finite nonzero vector into a Direction.
+        Dividing by the largest absolute coordinate first keeps the squared
+        norm in the float range."""
         arr = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(arr))
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"cannot normalize a vector of norm {norm}")
-        return Direction(tuple(arr / norm))
+        scale = float(np.max(np.abs(arr), initial=0.0))
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"cannot normalize a vector whose largest |coordinate| is {scale}")
+        arr = arr / scale
+        return Direction(tuple(arr / np.linalg.norm(arr)))
 
     @staticmethod
     def axis(dim: int) -> "Direction":

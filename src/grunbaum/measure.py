@@ -48,7 +48,7 @@ def _axis_sign(direction: Direction, dim: int) -> float:
     if np.max(np.abs(coords[1:])) > _AXIS_TOL:
         raise ValueError(
             "profile bodies only support the +/- axis direction, got "
-            f"{tuple(coords)}"
+            f"{direction.coords}"
         )
     return 1.0 if coords[0] > 0 else -1.0
 

@@ -15,13 +15,31 @@ hits above the cut over hits inside, from the same points, with a Wilson
 score interval (``wilson_interval``).
 
 Randomness comes from numpy's Philox counter-based generator keyed by
-(seed, shard); identical seeds reproduce results bit for bit on any
-platform, and every estimate records the generator name and seed.
+(seed, shard); every estimate records the generator name and seed.  A draw
+reads one stream, ``rng_for(seed)``, laid out as follows:
+
+* a polytope's points are row-major, ``dim`` doubles each;
+* a profile's points come in blocks of ``_CHUNK``: all of a block's ``t``
+  values, then all of its ``U`` values.
+
+The draw is split into work units of ``_UNIT`` points, run on a thread
+pool with one thread per usable CPU (never more than there are units).
+Philox yields 4 doubles per counter step, so a unit starting ``offset``
+doubles into the stream advances a fresh generator by ``offset // 4``
+steps and discards ``offset % 4`` doubles (``_stream_at``).  Units are
+combined in order, so identical seeds reproduce every point, and hence
+every count, bit for bit on any number of cores and any platform.  Workers
+run numpy on local arrays only: no BLAS call, whose own threads would
+compete with theirs, and no package function beyond the pure membership
+helpers; the hull, box, cylinder and axis sign are resolved before the
+pool starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +56,8 @@ from .bodies import (
 
 GENERATOR_NAME = "philox4x64"
 MIN_SAMPLES = 1000
-_CHUNK = 1 << 19
+_CHUNK = 1 << 19  # points per block of a profile's stream: all t values, then all U values
+_UNIT = 1 << 16  # points per work unit; divides _CHUNK, so no unit spans two blocks
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,23 @@ def rng_for(seed: int, shard: int = 0) -> np.random.Generator:
     """Deterministic generator for (seed, shard); shards are independent."""
     key = np.array([seed % (1 << 64), shard % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """``rng_for(seed)`` as it stands after ``offset`` doubles were drawn:
+    Philox4x64 yields 4 doubles per counter step."""
+    gen = rng_for(seed)
+    gen.bit_generator.advance(offset // 4)
+    gen.random(offset % 4)
+    return gen
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _check_samples(samples: int) -> int:
@@ -109,23 +145,43 @@ def _in_profile(body: Body, t: np.ndarray, radial2: np.ndarray) -> np.ndarray:
     return (t >= lo) & (t <= hi) & (radial2 <= r2)
 
 
+def _dot(columns, v) -> np.ndarray:
+    """The dot products of points, given by their coordinate columns, with
+    v: one column at a time, without a BLAS call."""
+    out = columns[0] * v[0]
+    for column, x in zip(columns[1:], v[1:]):
+        out += column * x
+    return out
+
+
+def _facets(body: Polytope) -> tuple:
+    """(outer normal, offset limit) of every hull facet, as plain floats."""
+    eqs = measure._hull_data(body)[2]
+    return tuple(zip(eqs[:, :-1].tolist(), (1e-12 - eqs[:, -1]).tolist()))
+
+
+def _in_facets(columns, facets: tuple) -> np.ndarray:
+    """Membership of points, given by their coordinate columns, in the
+    polytope with these facets; one facet at a time: no (m, facets) matrix."""
+    mask = np.ones(len(columns[0]), dtype=bool)
+    for normal, limit in facets:
+        mask &= _dot(columns, normal) <= limit
+    return mask
+
+
 def contains(body: Body, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (m, dim) array of points."""
     points = np.asarray(points, dtype=float)
     if isinstance(body, Polytope):
-        # one facet at a time, in place: no (m, facets) matrix
-        eqs = measure._hull_data(body)[2]
-        mask = np.ones(len(points), dtype=bool)
-        for normal, limit in zip(eqs[:, :-1], (1e-12 - eqs[:, -1]).tolist()):
-            mask &= points @ normal <= limit
-        return mask
+        return _in_facets(points.T, _facets(body))
     radial2 = np.einsum("ij,ij->i", points[:, 1:], points[:, 1:])
     return _in_profile(body, points[:, 0], radial2)
 
 
-def _inside_heights(body: Body, direction: Direction, samples: int, seed: int) -> np.ndarray:
-    """One draw of ``samples`` points: the heights along the direction of
-    those that land in the body.
+def _map_units(body: Body, direction: Direction, samples: int, seed: int, reduce) -> list:
+    """One draw of ``samples`` points: ``reduce(heights)`` for each work
+    unit, in unit order, where heights are the heights along the direction
+    of the unit's points that land in the body.
 
     A profile's points are drawn as (t, |y|**2) with t uniform on
     [t_lo, t_hi] and |y|**2 = r_max**2 * U**(2/(n-1)), U uniform on [0, 1]:
@@ -133,26 +189,43 @@ def _inside_heights(body: Body, direction: Direction, samples: int, seed: int) -
     numbers its membership test needs.  Profiles are cut along +/- their axis.
     """
     samples = _check_samples(samples)
-    gen = rng_for(seed)
     if isinstance(body, Polytope):
+        if direction.dim != body.dim:
+            raise ValueError(f"direction has dimension {direction.dim}, body has {body.dim}")
         lo, hi = bounding_box(body)
-        xi = direction.as_array()
+        facets, xi, dim = _facets(body), direction.coords, body.dim
 
-        def draw(m):
-            pts = lo + (hi - lo) * gen.random((m, body.dim))
-            return pts[contains(body, pts)] @ xi
+        def unit(start):
+            raw = _stream_at(seed, start * dim).random((min(_UNIT, samples - start), dim))
+            # contiguous coordinate columns: the facet loop reads each many times
+            cols = [lo[j] + (hi[j] - lo[j]) * raw[:, j] for j in range(dim)]
+            inside = _in_facets(cols, facets)
+            return reduce(_dot([c[inside] for c in cols], xi))
 
     else:
         sign = measure._axis_sign(direction, body.dim)
         t_lo, t_hi, r_max = bounding_cylinder(body)
         power = 2.0 / (body.dim - 1)
 
-        def draw(m):
-            t = t_lo + (t_hi - t_lo) * gen.random(m)
-            radial2 = r_max * r_max * gen.random(m) ** power
-            return sign * t[_in_profile(body, t, radial2)]
+        def unit(start):
+            m = min(_UNIT, samples - start)
+            block = start - start % _CHUNK
+            # the block's t values sit at 2*block + (start - block), its U values
+            # after all of its t values
+            t = t_lo + (t_hi - t_lo) * _stream_at(seed, block + start).random(m)
+            u = _stream_at(seed, block + min(_CHUNK, samples - block) + start).random(m)
+            radial2 = r_max * r_max * u**power
+            return reduce(sign * t[_in_profile(body, t, radial2)])
 
-    return np.concatenate([draw(min(_CHUNK, samples - k)) for k in range(0, samples, _CHUNK)])
+    starts = range(0, samples, _UNIT)
+    with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
+        return list(pool.map(unit, starts))
+
+
+def _inside_heights(body: Body, direction: Direction, samples: int, seed: int) -> np.ndarray:
+    """The heights along the direction of one draw's points that land in
+    the body, in draw order."""
+    return np.concatenate(_map_units(body, direction, samples, seed, lambda h: h))
 
 
 def _fraction_estimate(hits: int, samples: int, region: float, seed: int) -> McEstimate:
@@ -185,10 +258,13 @@ def mc_cut_counts(
 ) -> tuple[int, int]:
     """(hits at heights >= t, hits inside) of one draw: the cut ratio
     P(<x, xi> >= t | x in body) is their quotient."""
-    heights = _inside_heights(body, direction, samples, seed)
-    if len(heights) == 0:
+    counts = _map_units(
+        body, direction, samples, seed, lambda h: (int(np.count_nonzero(h >= t)), len(h))
+    )
+    inside = sum(n for _, n in counts)
+    if inside == 0:
         raise ValueError("no samples landed in the body; is it degenerate?")
-    return int(np.count_nonzero(heights >= t)), len(heights)
+    return sum(a for a, _ in counts), inside
 
 
 def mc_centroid_coordinate(

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ def test_direction_must_be_unit():
             Direction.from_vector(bad)
     d = Direction.from_vector((1.0, 1.0))
     assert math.isclose(np.linalg.norm(d.as_array()), 1.0, abs_tol=1e-12)
+
+
+def test_direction_from_vector_at_extreme_scales():
+    # the squared norm of these vectors overflows or underflows
+    unit = Direction.from_vector((1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200, 1e308, 5e-324):
+            assert Direction.from_vector((scale, scale)) == unit
+        d = Direction.from_vector((3e300, 0.0, -4e300))
+    assert d.coords == pytest.approx((0.6, 0.0, -0.8), rel=1e-15)
+    with pytest.raises(ValueError):
+        Direction.from_vector((0.0, 0.0))
 
 
 def test_direction_axis_and_negation():

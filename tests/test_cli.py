@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grunbaum import cli, measure, verify
+from grunbaum import cli, measure, oracle, verify
 from grunbaum.bodies import AnalyticProfile, Direction, Polytope
 from grunbaum.extremal import grunbaum_cone
 
@@ -176,8 +176,6 @@ def test_verify_unparseable_body_exit_2(tmp_path, capsys):
 
 
 def test_verify_random_body_with_mc(tmp_path, capsys):
-    from grunbaum import oracle
-
     body = oracle.random_polytope(3, 10, 51)
     path = write_body(tmp_path, body)
     code, out, _ = run(
@@ -216,6 +214,39 @@ def test_verify_bad_option_exit_2(tmp_path, capsys, body, flag, value, message):
     assert code == 2
     assert out == ""
     assert message in err
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("spec", ["1e200,1e200", "1e-200,1e-200"])
+def test_verify_direction_at_extreme_scales(tmp_path, capsys, spec):
+    """A direction is read up to scale, even where its squared norm leaves
+    the float range."""
+    path = write_body(tmp_path, Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))))
+    code, out, err = run(capsys, "verify", "--body", path, "--direction", spec)
+    assert code == 0, err
+    assert out == run(capsys, "verify", "--body", path, "--direction", "1,1")[1]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Polytope(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+        oracle.random_polytope(3, 12, 8),
+        oracle.random_profile(4, 6, 8),
+    ],
+    ids=["triangle", "polytope3", "profile4"],
+)
+def test_verify_mc_output_contract(tmp_path, capsys, body):
+    """What a benchmark reading verify's output relies on: seven JSON report
+    lines on stdout, one of them from the Monte Carlo backend, each naming
+    the body file; diagnostics only on stderr."""
+    path = write_body(tmp_path, body)
+    code, out, _ = run(capsys, "verify", "--body", path, "--alpha", "0.3", "--mc-samples", "100000")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 7
+    assert all(r["pass"] and r["context"]["path"] == path for r in reports)
+    assert sum(r["backend"] == verify.MONTE_CARLO for r in reports) == 1
 
 
 def test_extremal_kinds_round_trip(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Monte Carlo estimators and seeded random body generators."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,3 +207,98 @@ def test_bounding_box_degenerate_raises():
     segment = Polytope(2, ((0, 0), (0, 1), (0, 2)))  # flat: zero-width box
     with pytest.raises(ValueError):
         oracle.bounding_box(segment)
+
+
+def reference_heights(body, direction, samples, seed):
+    """The sequential sampler: one generator read front to back in blocks of
+    2**19 points, with BLAS dot products."""
+    gen = oracle.rng_for(seed)
+    out = []
+    for k in range(0, samples, 1 << 19):
+        m = min(1 << 19, samples - k)
+        if isinstance(body, Polytope):
+            lo, hi = oracle.bounding_box(body)
+            pts = lo + (hi - lo) * gen.random((m, body.dim))
+            eqs = measure._hull_data(body)[2]
+            mask = np.ones(m, dtype=bool)
+            for normal, offset in zip(eqs[:, :-1], eqs[:, -1]):
+                mask &= pts @ normal <= 1e-12 - offset
+            out.append(pts[mask] @ direction.as_array())
+        else:
+            sign = measure._axis_sign(direction, body.dim)
+            t_lo, t_hi, r_max = oracle.bounding_cylinder(body)
+            t = t_lo + (t_hi - t_lo) * gen.random(m)
+            radial2 = r_max * r_max * gen.random(m) ** (2.0 / (body.dim - 1))
+            out.append(sign * t[oracle._in_profile(body, t, radial2)])
+    return np.concatenate(out)
+
+
+def _sampler_case(kind):
+    if kind.startswith("polytope"):
+        n = int(kind[-1])
+        body = oracle.random_polytope(n, 12, 40 + n)
+        return body, Direction.from_vector(oracle.rng_for(n, shard=5).standard_normal(n))
+    n = int(kind[-1])
+    return oracle.random_profile(n, 6, 60 + n), Direction.axis(n).negated()
+
+
+@pytest.mark.parametrize("samples", [1000, 1001, 65537, 524291, 1000003])
+@pytest.mark.parametrize("kind", ["polytope2", "polytope3", "profile2", "profile3", "profile5"])
+def test_threaded_sampler_reproduces_the_sequential_draw(monkeypatch, kind, samples):
+    body, d = _sampler_case(kind)
+    ref = reference_heights(body, d, samples, 7)
+    got = oracle._inside_heights(body, d, samples, 7)
+    assert len(got) == len(ref)
+    if isinstance(body, Polytope):
+        # column-wise dot products may differ from BLAS in the last bit
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15
+    else:
+        assert np.array_equal(got, ref)
+    t = float(ref.mean())  # a height no sample sits on
+    assert oracle.mc_cut_counts(body, d, t, samples, 7) == (
+        int(np.count_nonzero(ref >= t)),
+        len(ref),
+    )
+    for workers in (1, 3):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+        assert np.array_equal(oracle._inside_heights(body, d, samples, 7), got)
+
+
+def test_sampler_calls_package_functions_from_the_calling_thread(monkeypatch):
+    seen = {"contains": set(), "_hull_data": set()}
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name].add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(oracle, "contains")
+    record(measure, "_hull_data")
+    threads = threading.active_count()
+    oracle.mc_cut_counts(oracle.random_polytope(3, 12, 5), Direction.axis(3), 0.0, 1_000_000, 1)
+    assert seen["_hull_data"] == {threading.main_thread()}
+    assert seen["contains"] <= {threading.main_thread()}
+    assert threading.active_count() == threads
+
+
+def test_cut_counts_memory_does_not_grow_with_samples(monkeypatch):
+    """numpy reports its buffers to tracemalloc.  Keeping every inside
+    height would make the peak at 4M samples about 1.8x the peak at 1M."""
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)  # units in flight
+    tri = Polytope(2, ((0, 0), (1, 0), (0, 1)))
+    d = Direction.axis(2)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            oracle.mc_cut_counts(tri, d, 0.3, samples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    oracle.mc_cut_counts(tri, d, 0.3, 1000, 1)  # hull build outside the measurement
+    assert peak(4_000_000) < 1.25 * peak(1_000_000)
