@@ -61,6 +61,29 @@ def test_constants_beyond_profile_dimensions(capsys):
     assert "profile dimension" in err
 
 
+def test_constants_at_a_billion_dimensions(capsys):
+    code, out, err = run(capsys, "constants", "--n", "1000000000", "--alpha", "0.3")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["c1"] <= obj["c2"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--alpha", "0.3"],
+        ["constants", "--alpha", "-0.5"],
+        ["sweep", "--alpha-min", "-0.5", "--alpha-max", "1.5", "--steps", "3"],
+        ["extremal", "--kind", "upper", "--alpha", "0.3"],
+    ],
+)
+def test_dimension_beyond_the_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", str(10**400))
+    assert code == 2
+    assert out == ""
+    assert "largest float" in err and "Traceback" not in err
+
+
 def test_sweep_rows_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -197,7 +197,7 @@ def test_psi_v_shape_around_beta0():
 def test_c2_refines_only_real_maxima(monkeypatch):
     """One golden-section search per alpha > 0 row, bracketing the scan's
     argmax, also where the scan is flat to rounding over hundreds of points
-    (large n near s = 0)."""
+    (large n near the slab)."""
     calls = []
     inner = C._golden_max
 
@@ -206,13 +206,33 @@ def test_c2_refines_only_real_maxima(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(C, "_golden_max", counted)
-    rows = [(alpha, n) for n in (3, 50, 1100) for alpha in (0.05, 0.3, 1.0, n - 0.5)]
+    rows = [(alpha, n) for n in (3, 50, 1100, 10**5, 10**9) for alpha in (0.05, 0.3, 1.0, n - 0.5)]
     for alpha, n in rows + [(0.3, 5000)]:
         calls.clear()
         res = C.c2_numeric_sup(alpha, n)
         assert len(calls) == 1, (alpha, n)
         if (alpha, n) == (0.3, 50):
             assert res.value == pytest.approx(0.350644, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n", (2, 50, 10**5, 10**17, 10**300), ids=("2", "50", "1e5", "1e17", "1e300")
+)
+def test_scan_matches_float_path(n):
+    """The per-n table and the golden-section refinement evaluate the same
+    cut fraction, also where d and n are rescaled (n beyond about 1e16)."""
+    for alpha in (0.05, 0.7, 1.0, 1.9):
+        scan = C._scan(alpha, n)
+        floats = [C._phi_w(float(w), alpha, float(n)) for w in C._W_GRID]
+        assert np.max(np.abs(scan - floats)) <= 1e-14
+
+
+def test_dimension_beyond_the_float_range_rejected():
+    assert C.c2(0.3, 10**300).value == pytest.approx(C.c2(0.3, 10**17).value, abs=1e-15)
+    for fn in (C.c1, C.d_const, C.c2):
+        for alpha in (0.3, -0.5):
+            with pytest.raises(ValueError, match="largest float"):
+                fn(alpha, 10**400)
 
 
 def test_c1_below_c2():
