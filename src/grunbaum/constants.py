@@ -139,11 +139,14 @@ def psi(beta: float, alpha: float, n: int) -> float:
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    g_m = (alpha + 1.0) * (beta * (n - 1) + 1.0) / (n + 1)
+    # g_m - beta, for g_m = (alpha + 1)*(beta*(n - 1) + 1)/(n + 1), formed
+    # without g_m: the n-th powers below magnify an error in it n times
+    gap = ((alpha + 1.0) - beta * (2.0 - (n - 1) * alpha)) / (n + 1)
     threshold = (alpha + 1.0) / (2.0 - (n - 1) * alpha)
-    if beta <= threshold:
-        return (1.0 - g_m) ** n / (1.0 - beta) ** (n - 1)
-    return 1.0 - g_m**n / beta ** (n - 1)
+    if beta <= threshold:  # (1 - g_m)**n / (1 - beta)**(n - 1)
+        return (1.0 - beta) * _pow1p(-gap / (1.0 - beta), n)
+    # 1 - g_m**n / beta**(n - 1)
+    return -math.expm1(math.log(beta) + n * math.log1p(gap / beta))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .bodies import AnalyticProfile, Body, Direction, Polytope, SlabProfile, section_ball_volume
 
@@ -59,6 +58,8 @@ def _axis_sign(direction: Direction, dim: int) -> float:
 
 @lru_cache(maxsize=512)
 def _hull_data(body: Polytope):
+    from scipy.spatial import ConvexHull  # imported only where a hull is built
+
     pts = body.vertex_array()
     try:
         hull = ConvexHull(pts)

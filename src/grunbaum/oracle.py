@@ -4,7 +4,14 @@ The estimators are deliberately independent of the exact pipeline: plain
 hit-or-miss sampling, with membership decided by half-space tests
 (polytopes) or a radius comparison (profiles).  They exist to
 cross-validate the closed-form machinery, so they share no integration
-code with it.
+code with it.  A piecewise-linear profile's radius is the oracle's own
+too: a concave piecewise-linear function is the minimum of its affine
+pieces, each taken as ``slope*(t - t_k) + r_k``, the formula ``np.interp``
+uses, so off the knots it equals ``AnalyticProfile.radius_at`` bit for bit
+(on a knot the two may differ by an ulp).  Its precondition is a concave
+radius, which ``bodies.validate`` checks up to a slope rise of
+``CONCAVITY_SLOPE_TOL`` per knot; at such a rise the minimum sits below
+the interpolation by at most the rise times the knot spacing.
 
 One sampler serves every estimator.  It draws polytope points uniformly in
 the tight axis-aligned bounding box.  For a profile it draws the tight
@@ -12,7 +19,10 @@ cylinder [t_lo, t_hi] x B^(n-1)(r_max), and only what the membership test
 reads: the height t and the squared radial distance |y|**2.  Every
 estimate is then one reading of one draw; a cut ratio in particular is
 hits above the cut over hits inside, from the same points, with a Wilson
-score interval (``wilson_interval``).
+score interval (``wilson_interval``).  Counts are taken in place: a unit
+counts its hits with its membership mask over all of its points, and only
+``mc_centroid_coordinate``, which needs the heights themselves, keeps the
+inside points.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, shard); every estimate records the generator name and seed.  A draw
@@ -31,8 +41,9 @@ combined in order, so identical seeds reproduce every point, and hence
 every count, bit for bit on any number of cores and any platform.  Workers
 run numpy on local arrays only: no BLAS call, whose own threads would
 compete with theirs, and no package function beyond the pure membership
-helpers; the hull, box, cylinder and axis sign are resolved before the
-pool starts.
+helpers; the hull, box, cylinder, radius pieces and axis sign are
+resolved before the pool starts.  The facet loop runs on ``_SLICE`` points
+at a time in buffers it reuses, so that it works in cache.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import measure
 from .bodies import (
@@ -58,6 +68,7 @@ GENERATOR_NAME = "philox4x64"
 MIN_SAMPLES = 1000
 _CHUNK = 1 << 19  # points per block of a profile's stream: all t values, then all U values
 _UNIT = 1 << 16  # points per work unit; divides _CHUNK, so no unit spans two blocks
+_SLICE = 1 << 15  # points per pass of the facet loop
 
 
 @dataclass(frozen=True)
@@ -133,24 +144,69 @@ def region_volume(body: Body) -> float:
     return (t_hi - t_lo) * section_ball_volume(body.dim) * r_max ** (body.dim - 1)
 
 
+def _radius_pieces(body: AnalyticProfile) -> tuple:
+    """(slope, t_k, r_k) of each affine piece ``slope*(t - t_k) + r_k`` of a
+    profile's radius, as plain floats: the slope ``np.interp`` takes."""
+    knots = body.knots
+    return tuple(
+        ((r1 - r0) / (t1 - t0), t0, r0) for (t0, r0), (t1, r1) in zip(knots, knots[1:])
+    )
+
+
+def _radius(t: np.ndarray, pieces: tuple) -> np.ndarray:
+    """The concave piecewise-linear radius at heights t in the support: the
+    minimum of its affine pieces."""
+    (slope, tk, rk), *rest = pieces
+    r = t - tk
+    r *= slope
+    r += rk
+    piece = np.empty_like(r)
+    for slope, tk, rk in rest:
+        np.subtract(t, tk, out=piece)
+        piece *= slope
+        piece += rk
+        np.minimum(r, piece, out=r)
+    return r
+
+
+def _profile_test(body: Body):
+    """The membership test ``(t, radial2) -> mask`` of a profile body, for
+    points at heights t and squared distances radial2 from its axis.  All it
+    reads of the body is resolved here, before any work unit starts."""
+    lo, hi = body.support
+    if isinstance(body, AnalyticProfile):
+        pieces = _radius_pieces(body)
+
+        def radius2(t):
+            r = _radius(t, pieces)
+            return np.multiply(r, r, out=r)
+
+    else:
+        omega = section_ball_volume(body.dim)
+        power = 2.0 / (body.dim - 1)
+
+        def radius2(t):
+            return (body.area_at(t) / omega) ** power
+
+    def test(t, radial2):
+        return (t >= lo) & (t <= hi) & (radial2 <= radius2(t))
+
+    return test
+
+
 def _in_profile(body: Body, t: np.ndarray, radial2: np.ndarray) -> np.ndarray:
     """Membership of the points at heights t and squared distances radial2
     from the axis of a profile body."""
-    if isinstance(body, AnalyticProfile):
-        r2 = body.radius_at(t) ** 2
-    else:
-        omega = section_ball_volume(body.dim)
-        r2 = (body.area_at(t) / omega) ** (2.0 / (body.dim - 1))
-    lo, hi = body.support
-    return (t >= lo) & (t <= hi) & (radial2 <= r2)
+    return _profile_test(body)(t, radial2)
 
 
-def _dot(columns, v) -> np.ndarray:
+def _dot(columns, v, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """The dot products of points, given by their coordinate columns, with
-    v: one column at a time, without a BLAS call."""
-    out = columns[0] * v[0]
+    v, written to ``out`` (``term`` is scratch space): one column at a time,
+    without a BLAS call."""
+    np.multiply(columns[0], v[0], out=out)
     for column, x in zip(columns[1:], v[1:]):
-        out += column * x
+        out += np.multiply(column, x, out=term)
     return out
 
 
@@ -162,10 +218,20 @@ def _facets(body: Polytope) -> tuple:
 
 def _in_facets(columns, facets: tuple) -> np.ndarray:
     """Membership of points, given by their coordinate columns, in the
-    polytope with these facets; one facet at a time: no (m, facets) matrix."""
-    mask = np.ones(len(columns[0]), dtype=bool)
-    for normal, limit in facets:
-        mask &= _dot(columns, normal) <= limit
+    polytope with these facets; one facet at a time: no (m, facets) matrix.
+    The loop runs on ``_SLICE`` points at a time, so that its buffers stay
+    in cache."""
+    m = len(columns[0])
+    mask = np.ones(m, dtype=bool)
+    size = min(m, _SLICE)
+    dot, term, hit = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for lo in range(0, m, size):
+        k = min(size, m - lo)
+        part = [column[lo : lo + k] for column in columns]
+        inside = mask[lo : lo + k]
+        for normal, limit in facets:
+            _dot(part, normal, dot[:k], term[:k])
+            inside &= np.less_equal(dot[:k], limit, out=hit[:k])
     return mask
 
 
@@ -179,9 +245,10 @@ def contains(body: Body, points: np.ndarray) -> np.ndarray:
 
 
 def _map_units(body: Body, direction: Direction, samples: int, seed: int, reduce) -> list:
-    """One draw of ``samples`` points: ``reduce(heights)`` for each work
-    unit, in unit order, where heights are the heights along the direction
-    of the unit's points that land in the body.
+    """One draw of ``samples`` points: ``reduce(heights, inside)`` for each
+    work unit, in unit order, where heights are the heights along the
+    direction of the unit's points and ``inside`` marks those that land in
+    the body.
 
     A profile's points are drawn as (t, |y|**2) with t uniform on
     [t_lo, t_hi] and |y|**2 = r_max**2 * U**(2/(n-1)), U uniform on [0, 1]:
@@ -199,12 +266,13 @@ def _map_units(body: Body, direction: Direction, samples: int, seed: int, reduce
             raw = _stream_at(seed, start * dim).random((min(_UNIT, samples - start), dim))
             # contiguous coordinate columns: the facet loop reads each many times
             cols = [lo[j] + (hi[j] - lo[j]) * raw[:, j] for j in range(dim)]
-            inside = _in_facets(cols, facets)
-            return reduce(_dot([c[inside] for c in cols], xi))
+            heights = _dot(cols, xi, np.empty_like(cols[0]), np.empty_like(cols[0]))
+            return reduce(heights, _in_facets(cols, facets))
 
     else:
         sign = measure._axis_sign(direction, body.dim)
         t_lo, t_hi, r_max = bounding_cylinder(body)
+        test = _profile_test(body)
         power = 2.0 / (body.dim - 1)
 
         def unit(start):
@@ -215,7 +283,7 @@ def _map_units(body: Body, direction: Direction, samples: int, seed: int, reduce
             t = t_lo + (t_hi - t_lo) * _stream_at(seed, block + start).random(m)
             u = _stream_at(seed, block + min(_CHUNK, samples - block) + start).random(m)
             radial2 = r_max * r_max * u**power
-            return reduce(sign * t[_in_profile(body, t, radial2)])
+            return reduce(sign * t, test(t, radial2))
 
     starts = range(0, samples, _UNIT)
     with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
@@ -225,7 +293,19 @@ def _map_units(body: Body, direction: Direction, samples: int, seed: int, reduce
 def _inside_heights(body: Body, direction: Direction, samples: int, seed: int) -> np.ndarray:
     """The heights along the direction of one draw's points that land in
     the body, in draw order."""
-    return np.concatenate(_map_units(body, direction, samples, seed, lambda h: h))
+    return np.concatenate(
+        _map_units(body, direction, samples, seed, lambda h, inside: h[inside])
+    )
+
+
+def _counts(body: Body, direction: Direction, t: float, samples: int, seed: int):
+    """(hits at heights >= t, hits inside) of one draw, counted in place."""
+
+    def count(h, inside):
+        return int(np.count_nonzero(inside & (h >= t))), int(np.count_nonzero(inside))
+
+    counts = _map_units(body, direction, samples, seed, count)
+    return sum(a for a, _ in counts), sum(n for _, n in counts)
 
 
 def _fraction_estimate(hits: int, samples: int, region: float, seed: int) -> McEstimate:
@@ -240,16 +320,15 @@ def _fraction_estimate(hits: int, samples: int, region: float, seed: int) -> McE
 
 def mc_volume(body: Body, samples: int, seed: int) -> McEstimate:
     """Hit-or-miss volume estimate over the sampling region."""
-    heights = _inside_heights(body, Direction.axis(body.dim), samples, seed)
-    return _fraction_estimate(len(heights), samples, region_volume(body), seed)
+    _, inside = _counts(body, Direction.axis(body.dim), -math.inf, samples, seed)
+    return _fraction_estimate(inside, samples, region_volume(body), seed)
 
 
 def mc_cut_volume(
     body: Body, direction: Direction, t: float, samples: int, seed: int
 ) -> McEstimate:
     """Volume of the part of the body at heights >= t along the direction."""
-    heights = _inside_heights(body, direction, samples, seed)
-    above = int(np.count_nonzero(heights >= t))
+    above, _ = _counts(body, direction, t, samples, seed)
     return _fraction_estimate(above, samples, region_volume(body), seed)
 
 
@@ -258,13 +337,10 @@ def mc_cut_counts(
 ) -> tuple[int, int]:
     """(hits at heights >= t, hits inside) of one draw: the cut ratio
     P(<x, xi> >= t | x in body) is their quotient."""
-    counts = _map_units(
-        body, direction, samples, seed, lambda h: (int(np.count_nonzero(h >= t)), len(h))
-    )
-    inside = sum(n for _, n in counts)
+    above, inside = _counts(body, direction, t, samples, seed)
     if inside == 0:
         raise ValueError("no samples landed in the body; is it degenerate?")
-    return sum(a for a, _ in counts), inside
+    return above, inside
 
 
 def mc_centroid_coordinate(
@@ -304,6 +380,8 @@ def _uniform_ball(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 def random_polytope(n: int, num_points: int, seed: int) -> Polytope:
     """Convex hull of points sampled uniformly in the unit ball."""
+    from scipy.spatial import ConvexHull, QhullError  # imported only where a hull is built
+
     if n not in (2, 3):
         raise ValueError(f"random polytopes are generated in dimension 2 or 3, got {n}")
     if num_points < n + 1:

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -375,6 +378,34 @@ def test_symmetrize_output_passes_verify(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--body", sym_path, "--alpha", "0.3")
     assert code == 0, err
     assert len(out.splitlines()) == 6
+
+
+def test_profile_commands_do_not_import_scipy(tmp_path):
+    """scipy is imported only to build a hull, so commands that build none
+    start without it."""
+    path = write_body(tmp_path, grunbaum_cone(3))
+    script = (
+        "import contextlib, io, sys\n"
+        "from grunbaum import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv.split()) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    commands = [
+        "constants --n 3 --alpha 0.3",
+        "sweep --n 3 --alpha-min -0.5 --alpha-max 1.5 --steps 5",
+        "extremal --kind upper --n 3 --alpha 0.3",
+        f"verify --body {path} --alpha 0.3 --mc-samples 1000",
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        capture_output=True, text=True, env=env, timeout=120,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_body_json_round_trip(tmp_path):

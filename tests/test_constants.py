@@ -177,6 +177,15 @@ def test_psi_minimum_identity():
         assert C.psi(b0, alpha, n) == pytest.approx(C.c1(alpha, n), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [10, 1000, 1074, 1100, 10**5, 10**9, 10**17])
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_psi_minimum_identity_at_large_n(n, a):
+    """psi(beta0) = c1 where both powers in psi leave the float range."""
+    alpha = a / n
+    c1 = C.c1(alpha, n)
+    assert abs(C.psi(C.beta0(alpha, n), alpha, n) - c1) <= 1e-13 * c1
+
+
 def test_psi_at_zero_is_cone_value():
     for alpha, n in ((0.25, 2), (0.1, 3), (0.05, 4)):
         assert C.psi(0.0, alpha, n) == pytest.approx(((n - alpha) / (n + 1)) ** n, abs=1e-14)

@@ -302,3 +302,66 @@ def test_cut_counts_memory_does_not_grow_with_samples(monkeypatch):
 
     oracle.mc_cut_counts(tri, d, 0.3, 1000, 1)  # hull build outside the measurement
     assert peak(4_000_000) < 1.25 * peak(1_000_000)
+
+
+def reference_inside_heights(body, direction, samples, seed):
+    """The heights of one draw's points inside the body, with membership as
+    the exact pipeline reads it (``radius_at``, every facet's plane) and the
+    inside points compacted before their heights are taken."""
+    gen = oracle.rng_for(seed)
+    out = []
+    for k in range(0, samples, 1 << 19):
+        m = min(1 << 19, samples - k)
+        if isinstance(body, Polytope):
+            lo, hi = oracle.bounding_box(body)
+            raw = gen.random((m, body.dim))
+            cols = [lo[j] + (hi[j] - lo[j]) * raw[:, j] for j in range(body.dim)]
+            eqs = measure._hull_data(body)[2]
+            inside = np.ones(m, dtype=bool)
+            for row in eqs:
+                dot = cols[0] * row[0]
+                for j in range(1, body.dim):
+                    dot += cols[j] * row[j]
+                inside &= dot <= 1e-12 - row[-1]
+            kept = [c[inside] for c in cols]
+            h = kept[0] * direction.coords[0]
+            for j in range(1, body.dim):
+                h += kept[j] * direction.coords[j]
+            out.append(h)
+        else:
+            sign = measure._axis_sign(direction, body.dim)
+            t_lo, t_hi, r_max = oracle.bounding_cylinder(body)
+            t = t_lo + (t_hi - t_lo) * gen.random(m)
+            radial2 = r_max * r_max * gen.random(m) ** (2.0 / (body.dim - 1))
+            lo, hi = body.support
+            inside = (t >= lo) & (t <= hi) & (radial2 <= body.radius_at(t) ** 2)
+            out.append(sign * t[inside])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("samples", [1000, 65537, 1000003])
+@pytest.mark.parametrize(
+    "kind", ["polytope2", "polytope3", "profile2", "profile3", "profile4", "profile5"]
+)
+def test_counts_in_place_equal_the_compacting_reference(kind, samples):
+    body, d = _sampler_case(kind)
+    h = reference_inside_heights(body, d, samples, 11)
+    t = float(h.mean())  # a height no sample sits on
+    above, inside = int(np.count_nonzero(h >= t)), len(h)
+    assert oracle.mc_cut_counts(body, d, t, samples, 11) == (above, inside)
+    region = oracle.region_volume(body)
+    assert oracle.mc_cut_volume(body, d, t, samples, 11).value == region * (above / samples)
+    assert oracle.mc_volume(body, samples, 11).value == region * (inside / samples)
+
+
+def test_oracle_radius_equals_the_interpolated_radius():
+    """Off the knots, the minimum of the affine pieces is ``np.interp``'s
+    value bit for bit on a concave radius."""
+    gen = oracle.rng_for(3, shard=1)
+    for seed in range(200):
+        body = oracle.random_profile(2 + seed % 5, 2 + seed % 9, seed)
+        lo, hi = body.support
+        t = lo + (hi - lo) * gen.random(100_000)
+        t = t[~np.isin(t, body.heights())]
+        got = oracle._radius(t, oracle._radius_pieces(body))
+        assert np.array_equal(got, body.radius_at(t))
