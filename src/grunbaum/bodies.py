@@ -2,14 +2,14 @@
 
 Three concrete body types are supported:
 
-* ``Polytope`` -- a vertex list in dimension 2 or 3, sliced exactly.
+* ``Polytope`` -- a vertex list in dimension 2 or 3, measured exactly.
 * ``AnalyticProfile`` -- a body of revolution about the first coordinate
   axis with piecewise-linear concave radius.  Every extremal body lives
   here, as does the Schwarz symmetral of any planar polytope.
 * ``SlabProfile`` -- a body of revolution whose section area is piecewise
-  quadratic, stored as a table of slab coefficients with closed-form
+  quadratic, stored per slab as Bernstein coefficients with closed-form
   integrals: the Schwarz symmetral of a 3-D polytope, and the table
-  ``measure`` slices every polytope into along a direction.
+  ``measure`` reads every polytope through along a direction.
 
 Profiles exist for 2 <= dim <= ``MAX_PROFILE_DIM``; beyond it the ball
 volume that scales their sections is no longer a normal float.
@@ -70,6 +70,21 @@ def _lin_pow_integrals(r0, r1, h, n: int):
         i1 = i1 * r0 + (k + 1) * r1_k
         r1_k = r1_k * r1
     return h * i0 / n, h * (h * i1) / (n * (n + 1))
+
+
+def _bernstein(b0, b1, b2, u):
+    """``b0*(1-u)**2 + 2*b1*u*(1-u) + b2*u**2`` on floats and numpy arrays
+    alike: with b0, b1, b2 >= 0 no term cancels."""
+    v = 1.0 - u
+    return v * (b0 * v + 2.0 * b1 * u) + b2 * (u * u)
+
+
+def _peak(b0, b1, b2) -> float:
+    """The u in (0, 1] where ``_bernstein(b0, b1, b2, u)`` is largest right
+    of u = 0: its vertex when b1 exceeds both ends, else the right end."""
+    if b1 > b0 and b1 > b2:
+        return (b1 - b0) / ((b1 - b0) + (b1 - b2))
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -227,41 +242,48 @@ class AnalyticProfile:
 class SlabProfile:
     """Body of revolution whose section area A(t) is piecewise quadratic.
 
-    On slab i, between ``edges[i]`` and ``edges[i+1]``, the area is
-    ``s0[i] + s1[i]*x + s2[i]*x**2`` with x measured from the slab centre.
-    This is the exact Schwarz symmetral of a polytope (``measure`` builds the
-    table by slicing), so every integral below is closed-form.  Construction
-    also keeps numpy copies of the table and the cumulative slab integrals,
-    so queries convert nothing.
+    On slab i, between ``edges[i]`` and ``edges[i+1]``, the area is the
+    Bernstein polynomial ``b0[i]*(1-u)**2 + 2*b1[i]*u*(1-u) + b2[i]*u**2`` in
+    ``u = (t - edges[i]) / (edges[i+1] - edges[i])``: b0 and b2 are the areas
+    at the slab's ends.  On a convex body every coefficient is >= 0, so the
+    integrals below are sums of nonnegative terms.  This is the exact
+    Schwarz symmetral of a polytope (``measure`` builds the table from the
+    hull's facets).  Construction drops slabs of zero width, which hold no
+    volume, and keeps numpy copies of the table and the cumulative slab
+    integrals, so queries convert nothing.
     """
 
     dim: int
     edges: tuple[float, ...]
-    s0: tuple[float, ...]
-    s1: tuple[float, ...]
-    s2: tuple[float, ...]
+    b0: tuple[float, ...]
+    b1: tuple[float, ...]
+    b2: tuple[float, ...]
 
     def __post_init__(self):
         _check_profile_dim(self.dim)
-        cols = [tuple(float(x) for x in c) for c in (self.edges, self.s0, self.s1, self.s2)]
-        for name, col in zip(("edges", "s0", "s1", "s2"), cols):
-            object.__setattr__(self, name, col)
-        edges, s0, s1, s2 = (np.asarray(c) for c in cols)
-        if len(edges) < 2 or not len(s0) == len(s1) == len(s2) == len(edges) - 1:
+        cols = [np.asarray([float(x) for x in c]) for c in (self.edges, self.b0, self.b1, self.b2)]
+        edges, b0, b1, b2 = cols
+        if len(edges) < 2 or not len(b0) == len(b1) == len(b2) == len(edges) - 1:
             raise ValueError("a slab profile needs k+1 edges and k coefficients of each order")
-        if not all(np.all(np.isfinite(c)) for c in (edges, s0, s1, s2)):
+        if not all(np.all(np.isfinite(c)) for c in cols):
             raise ValueError("slab edges and coefficients must be finite")
-        lo, hi = edges[:-1], edges[1:]
-        if np.any(hi <= lo):
-            raise ValueError("slab edges must be strictly increasing")
-        h = hi - lo
-        full = s0 * h + s2 * h**3 / 12.0
-        tc = 0.5 * (lo + hi)
+        width = np.diff(edges)
+        if np.any(width < 0.0):
+            raise ValueError("slab edges must be nondecreasing")
+        keep = width > 0.0
+        if not keep.any():
+            raise ValueError("a slab profile needs a slab of positive width")
+        edges = np.append(edges[:-1][keep], edges[-1])
+        b0, b1, b2, width = b0[keep], b1[keep], b2[keep], width[keep]
+        for name, col in zip(("edges", "b0", "b1", "b2"), (edges, b0, b1, b2)):
+            object.__setattr__(self, name, tuple(col.tolist()))
+        full = width * (b0 + b1 + b2) / 3.0
+        first = width * (width * (b0 + 2.0 * b1 + 3.0 * b2)) / 12.0
         object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_tc", tc)
-        object.__setattr__(self, "_s", (s0, s1, s2))
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_b", (b0, b1, b2))
         object.__setattr__(self, "_tails", np.concatenate([np.cumsum(full[::-1])[::-1], [0.0]]))
-        object.__setattr__(self, "_moment", float((tc * full + s1 * h**3 / 12.0).sum()))
+        object.__setattr__(self, "_moment", float((edges[:-1] * full + first).sum()))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -269,10 +291,9 @@ class SlabProfile:
 
     def _quadratic(self, t: np.ndarray) -> np.ndarray:
         """The slab polynomials at heights t, unclamped."""
-        s0, s1, s2 = self._s
-        idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(s0) - 1)
-        x = t - self._tc[idx]
-        return s0[idx] + x * (s1[idx] + x * s2[idx])
+        b0, b1, b2 = self._b
+        i = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(b0) - 1)
+        return _bernstein(b0[i], b1[i], b2[i], (t - self._edges[i]) / self._width[i])
 
     def area_at(self, t):
         """Section area at height t, 0 outside the support.  Accepts arrays."""
@@ -296,48 +317,35 @@ class SlabProfile:
             return self.volume()
         if t >= hi:
             return 0.0
-        (s0, s1, s2), edges = self._s, self._edges
-        i = min(int(np.searchsorted(edges, t, side="right")) - 1, len(s0) - 1)
-
-        def anti(x):
-            return x * (s0[i] + x * (s1[i] / 2.0 + x * s2[i] / 3.0))
-
-        tail = anti(edges[i + 1] - self._tc[i]) - anti(t - self._tc[i])
+        i = min(int(np.searchsorted(self._edges, t, side="right")) - 1, len(self.b0) - 1)
+        b0, b1, b2, w = self.b0[i], self.b1[i], self.b2[i], float(self._width[i])
+        u = (t - self.edges[i]) / w
+        v = 1.0 - u
+        # the antiderivative's cubic Bernstein coefficients are suffix sums
+        tail = w * v * (v * (v * (b0 + b1 + b2) + 3.0 * u * (b1 + b2)) + 3.0 * u * u * b2) / 3.0
         return max(tail + float(self._tails[i + 1]), 0.0)
 
     def max_section(self) -> tuple[float, float]:
         """Leftmost maximizer of A and the maximal area: the best slab end or
-        vertex of a concave slab, then bisection down to the leftmost height
-        within 1e-13 (relative) of it.  All in Python floats, on each slab's
-        own quadratic."""
-        s0, s1, s2, edges, tc = self.s0, self.s1, self.s2, self.edges, self._tc.tolist()
-        best = 0.0
-        for i in range(len(tc)):
-            xs = [edges[i] - tc[i], edges[i + 1] - tc[i]]
-            if s2[i] < 0.0:
-                xstar = -s1[i] / (2.0 * s2[i])
-                if xs[0] < xstar < xs[1]:
-                    xs.append(xstar)
-            for x in xs:
-                best = max(best, s0[i] + x * (s1[i] + x * s2[i]))
+        vertex of a slab, then bisection down to the leftmost height within
+        1e-13 (relative) of it.  All in Python floats, on each slab's own
+        polynomial."""
+        edges, width = self.edges, self._width.tolist()
+        slabs = list(zip(self.b0, self.b1, self.b2))
+        peaks = [_peak(*b) for b in slabs]
+        best = max([0.0] + [max(b[0], _bernstein(*b, u)) for b, u in zip(slabs, peaks)])
         thresh = best - 1e-13 * max(best, 1.0)
-        for i in range(len(tc)):
-            c0, c1, c2, ci = s0[i], s1[i], s2[i], tc[i]
+        for i, ((b0, b1, b2), u) in enumerate(zip(slabs, peaks)):
+            lo, w = edges[i], width[i]
 
             def area(t):
-                x = t - ci
-                return c0 + x * (c1 + x * c2)
+                return _bernstein(b0, b1, b2, (t - lo) / w)
 
-            lo_t, hi_t = edges[i], edges[i + 1]
-            if area(lo_t) >= thresh:
-                return lo_t, best
-            xs = hi_t
-            if c2 < 0.0:
-                xstar = ci - c1 / (2.0 * c2)
-                if lo_t < xstar < hi_t:
-                    xs = xstar
-            if area(xs) >= thresh:
-                a, b = lo_t, xs
+            if b0 >= thresh:
+                return lo, best
+            top = edges[i + 1] if u == 1.0 else lo + u * w
+            if area(top) >= thresh:
+                a, b = lo, top
                 for _ in range(80):
                     mid = 0.5 * (a + b)
                     if area(mid) >= thresh:
@@ -352,9 +360,9 @@ class SlabProfile:
         return SlabProfile(
             self.dim,
             tuple(-e for e in reversed(self.edges)),
-            self.s0[::-1],
-            tuple(-c for c in reversed(self.s1)),
-            self.s2[::-1],
+            self.b2[::-1],
+            self.b1[::-1],
+            self.b0[::-1],
         )
 
 
@@ -402,10 +410,13 @@ def translate(body: Body, vector) -> Body:
         return Polytope(body.dim, tuple(tuple(np.asarray(v) + vec) for v in body.vertices))
     if isinstance(body, AnalyticProfile):
         s = _axial_shift(body, vector)
-        return AnalyticProfile(body.dim, tuple((t + s, r) for t, r in body.knots))
+        knots = {}
+        for t, r in body.knots:  # knots ulps apart may round onto one height:
+            knots[t + s] = max(r, knots.get(t + s, r))  # keep the wider section
+        return AnalyticProfile(body.dim, tuple(knots.items()))
     if isinstance(body, SlabProfile):
         s = _axial_shift(body, vector)
-        return SlabProfile(body.dim, tuple(e + s for e in body.edges), body.s0, body.s1, body.s2)
+        return SlabProfile(body.dim, tuple(e + s for e in body.edges), body.b0, body.b1, body.b2)
     raise TypeError(f"not a body: {body!r}")
 
 
@@ -419,9 +430,9 @@ def dilate(body: Body, factor: float) -> Body:
     if isinstance(body, AnalyticProfile):
         return AnalyticProfile(body.dim, tuple((f * t, f * r) for t, r in body.knots))
     if isinstance(body, SlabProfile):
-        # A_f(t) = f**(n-1) * A(t/f), and x scales by f within each slab
-        coeffs = (body.s0, body.s1, body.s2)
-        scaled = (tuple(f ** (body.dim - 1 - k) * c for c in col) for k, col in enumerate(coeffs))
+        # A_f(t) = f**(n-1) * A(t/f), and u is the same within each slab
+        scale = f ** (body.dim - 1)
+        scaled = (tuple(scale * c for c in col) for col in (body.b0, body.b1, body.b2))
         return SlabProfile(body.dim, tuple(f * e for e in body.edges), *scaled)
     raise TypeError(f"not a body: {body!r}")
 

@@ -9,10 +9,11 @@ Body files are JSON::
 
     {"type": "polytope", "dim": 3, "vertices": [[x, y, z], ...]}
     {"type": "profile",  "dim": n, "knots": [[t, r], ...]}
-    {"type": "slab_profile", "dim": n, "edges": [...], "s0": [...], "s1": [...], "s2": [...]}
+    {"type": "slab_profile", "dim": n, "edges": [...], "b0": [...], "b1": [...], "b2": [...]}
 
 A slab profile is the exact Schwarz symmetral of a 3-D polytope, so
-``symmetrize`` writes every symmetral without loss.
+``symmetrize`` writes every symmetral without loss: per slab, the
+Bernstein coefficients of its quadratic section area (``SlabProfile``).
 
 Reals are serialized with Python's shortest round-trip representation.
 An infinite homothety coefficient (the cone with apex at the bottom) is
@@ -53,7 +54,7 @@ _EXTREMAL_KINDS = (
 # ---------------------------------------------------------------------------
 # body (de)serialization
 
-_SLAB_COLUMNS = ("edges", "s0", "s1", "s2")
+_SLAB_COLUMNS = ("edges", "b0", "b1", "b2")
 
 
 def body_to_obj(body: Body) -> dict:
@@ -94,7 +95,11 @@ def body_from_obj(obj) -> Body:
     if kind == "polytope":
         return Polytope(dim, _rows(obj, "vertices", dim))
     if kind == "slab_profile":
-        return SlabProfile(dim, *(_floats(obj.get(k), k) for k in _SLAB_COLUMNS))
+        missing = [k for k in _SLAB_COLUMNS if k not in obj]
+        if missing:
+            keys = ", ".join(_SLAB_COLUMNS)
+            raise ValueError(f"a slab_profile needs the keys {keys}; missing {', '.join(missing)}")
+        return SlabProfile(dim, *(_floats(obj[k], k) for k in _SLAB_COLUMNS))
     return AnalyticProfile(dim, _rows(obj, "knots", 2))
 
 

@@ -8,10 +8,11 @@ Along a direction every body is read through one section table
   ``(linear radius)**(n-1)`` in closed form via the Bernstein expansion,
   whose terms are all nonnegative, so nothing cancels for any slope or
   dimension;
-* a polytope is sliced edge-by-edge, and the section area between two
-  consecutive vertex heights is a polynomial of degree <= dim-1, which a
-  three-point fit recovers exactly.  The fitted slab table is a
-  ``SlabProfile``: the polytope's Schwarz symmetral along that direction.
+* a polytope's section area between two consecutive vertex heights is a
+  polynomial of degree <= dim-1, a sum over the hull's facets whose
+  Bernstein coefficients come from where each facet meets the slab's two
+  edges.  The slab table is a ``SlabProfile``: the polytope's Schwarz
+  symmetral along that direction.
 
 Everything here is exact up to floating point.  A polytope's volume,
 centroid and support come from its hull; all else is one call on a table.
@@ -27,7 +28,6 @@ import numpy as np
 
 from .bodies import AnalyticProfile, Body, Direction, Polytope, SlabProfile, section_ball_volume
 
-_DEDUPE_REL = 1e-12
 _AXIS_TOL = 1e-9
 
 
@@ -53,11 +53,14 @@ def _axis_sign(direction: Direction, dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# polytopes: hull combinatorics and exact slicing
+# polytopes: the hull and its slab table
 
 
 @lru_cache(maxsize=512)
 def _hull_data(body: Polytope):
+    """(points, hull simplices, hull equations, volume, centroid).  The
+    volume and centroid come from the fan of simplices over the facets from
+    an inner point."""
     from scipy.spatial import ConvexHull  # imported only where a hull is built
 
     pts = body.vertex_array()
@@ -65,114 +68,73 @@ def _hull_data(body: Polytope):
         hull = ConvexHull(pts)
     except Exception as exc:  # scipy.spatial.QhullError on flat input
         raise DegenerateBodyError(f"degenerate polytope: {exc}") from exc
-    if body.dim == 2:
-        cycle = hull.vertices  # counterclockwise
-        edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-    else:
-        seen = set()
-        edges = []
-        for simplex in hull.simplices:
-            for i in range(3):
-                e = tuple(sorted((simplex[i], simplex[(i + 1) % 3])))
-                if e not in seen:
-                    seen.add(e)
-                    edges.append(e)
     inner = pts[hull.vertices].mean(axis=0)
-    vol = 0.0
-    cent = np.zeros(body.dim)
-    if body.dim == 2:
-        cyc = pts[hull.vertices]
-        for i in range(len(cyc)):
-            a, b = cyc[i] - inner, cyc[(i + 1) % len(cyc)] - inner
-            w = abs(a[0] * b[1] - a[1] * b[0]) / 2.0
-            vol += w
-            cent += w * (inner + cyc[i] + cyc[(i + 1) % len(cyc)]) / 3.0
-    else:
-        for simplex in hull.simplices:
-            a, b, c = (pts[j] - inner for j in simplex)
-            w = abs(np.linalg.det(np.stack([a, b, c]))) / 6.0
-            vol += w
-            cent += w * (inner + pts[simplex[0]] + pts[simplex[1]] + pts[simplex[2]]) / 4.0
+    fan = pts[hull.simplices] - inner
+    weights = np.abs(np.linalg.det(fan)) / math.factorial(body.dim)
+    vol = float(weights.sum())
     if vol <= 0.0:
         raise DegenerateBodyError("polytope has zero volume")
-    return pts, tuple(edges), hull.equations, vol, cent / vol
+    cent = inner + weights @ fan.sum(axis=1) / ((body.dim + 1) * vol)
+    return pts, hull.simplices, hull.equations, vol, cent
 
 
-def _plane_basis(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal vectors spanning the plane orthogonal to xi in R^3."""
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(xi)))] = 1.0
-    u = np.cross(xi, pivot)
-    u /= np.linalg.norm(u)
-    v = np.cross(xi, u)
-    return u, v
-
-
-def _slice_points(pts, edges, heights, t, tol):
-    """All intersection points of hull edges with the level set height == t."""
-    out = []
-    for i, j in edges:
-        ha, hb = heights[i], heights[j]
-        if abs(ha - t) <= tol and abs(hb - t) <= tol:
-            out.append(pts[i])
-            out.append(pts[j])
-        elif (ha - t) * (hb - t) <= 0.0 and ha != hb:
-            s = (t - ha) / (hb - ha)
-            out.append(pts[i] + s * (pts[j] - pts[i]))
-    return out
-
-
-def _poly_section_area(body: Polytope, xi: np.ndarray, t: float) -> float:
-    pts, edges, _, _, _ = _hull_data(body)
-    heights = pts @ xi
-    span = float(heights.max() - heights.min())
-    cut = _slice_points(pts, edges, heights, t, 1e-14 * max(span, 1.0))
-    if len(cut) < 2:
-        return 0.0
-    cut = np.asarray(cut)
-    if body.dim == 2:
-        # chord length: spread of the intersection points across the line
-        perp = np.array([-xi[1], xi[0]])
-        proj = cut @ perp
-        return float(proj.max() - proj.min())
-    u, v = _plane_basis(xi)
-    xy = np.stack([cut @ u, cut @ v], axis=1)
-    center = xy.mean(axis=0)
-    order = np.argsort(np.arctan2(xy[:, 1] - center[1], xy[:, 0] - center[0]))
-    xy = xy[order]
-    x, y = xy[:, 0], xy[:, 1]
-    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return abs(float(area))
+def _crossing(pts, heights, a, b, t):
+    """Where the edges from vertices a to vertices b, with heights[a] <
+    heights[b], cross the heights t: one row per pair."""
+    s = (t - heights[a]) / (heights[b] - heights[a])
+    return pts[a] + s[:, None] * (pts[b] - pts[a])
 
 
 @lru_cache(maxsize=512)
 def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
-    """Exact piecewise polynomial model of A(t) for a polytope along xi.
+    """The section area A(t) of a polytope along xi, exactly, as a table of
+    slabs between consecutive vertex heights.
 
-    On each slab between consecutive vertex heights the section area is a
-    polynomial of degree <= dim-1; three interior samples pin it down as
-    ``s0 + s1*x + s2*x**2`` around the slab center.
+    Each hull facet F that spans a slab meets the plane at height t in a
+    segment [a(t), b(t)], oriented along xi x nu_F (nu_F the facet's outer
+    normal), so that A(t) = sum_F det(a, b, xi) / 2.  Over a slab a and b
+    move linearly, so the slab's Bernstein coefficients come from the
+    segment ends at its lower edge (a0, b0) and upper edge (a1, b1):
+    ``sum det(a0, b0, xi) / 2``, ``sum (det(a0, b1, xi) + det(a1, b0, xi)) / 4``
+    and ``sum det(a1, b1, xi) / 2``.  In the plane the section is a chord,
+    F meets it in one signed end p(t), and the sum of det(p, xi) is linear.
+    One row per (facet, slab) pair; no step divides by a slab width.
     """
     xi = np.asarray(xi_coords)
-    pts, _, _, _, _ = _hull_data(body)
-    heights = np.sort(pts @ xi)
-    span = float(heights[-1] - heights[0])
-    if span <= 0.0:
+    pts, simplices, eqs, _, cent = _hull_data(body)
+    heights = pts @ xi
+    order = np.argsort(heights[simplices], axis=1, kind="stable")
+    facets = np.take_along_axis(simplices, order, axis=1)  # vertices by height
+    edges = np.unique(heights[facets])
+    if len(edges) < 2:
         raise DegenerateBodyError("polytope is flat along the slicing direction")
-    keep = [heights[0]]
-    for h in heights[1:]:
-        if h - keep[-1] > _DEDUPE_REL * span:
-            keep.append(h)
-    edges = np.asarray(keep)
-    lo, hi = edges[:-1], edges[1:]
-    tc = 0.5 * (lo + hi)
-    delta = 0.25 * (hi - lo)
-    a1 = np.array([_poly_section_area(body, xi, t) for t in tc - delta])
-    a2 = np.array([_poly_section_area(body, xi, t) for t in tc])
-    a3 = np.array([_poly_section_area(body, xi, t) for t in tc + delta])
-    s1 = (a3 - a1) / (2.0 * delta)
-    s2 = (a1 - 2.0 * a2 + a3) / (2.0 * delta * delta)
-    return SlabProfile(body.dim, edges, a2, s1, s2)
+    rank = np.searchsorted(edges, heights[facets])  # slab index of each vertex
+    count = rank[:, -1] - rank[:, 0]
+    f = np.repeat(np.arange(len(facets)), count)
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - rank[:, 0], count)
+    t0, t1 = edges[j], edges[j + 1]
+    # +1 where the vertices in height order turn positively about nu_F,
+    # which orients each segment along xi x nu_F
+    turn = np.concatenate([eqs[:, None, :-1], pts[facets[:, 1:]] - pts[facets[:, :1]]], axis=1)
+    sign = np.sign(np.linalg.det(turn))[f]
+    pts = pts - cent  # only the rounding depends on the origin
+    lo, hi = facets[f, 0], facets[f, -1]
+    k = len(edges) - 1  # slabs
+    a0, a1 = (_crossing(pts, heights, lo, hi, t) for t in (t0, t1))
+    if body.dim == 2:  # det(p, xi) of each chord end p
+        b0, b2 = (np.bincount(j, sign * (a @ [xi[1], -xi[0]]), minlength=k) for a in (a0, a1))
+        return SlabProfile(2, edges, b0, (b0 + b2) / 2.0, b2)
+    # each segment runs from the lo-hi edge (a) to the other edge the slab spans (c)
+    below = j < rank[f, 1]
+    mid = facets[f, 1]
+    u, v = np.where(below, lo, mid), np.where(below, mid, hi)
+    c0, c1 = (_crossing(pts, heights, u, v, t) for t in (t0, t1))
+
+    def det(a, c):
+        return np.bincount(j, sign * (np.cross(a, c) @ xi), minlength=k)
+
+    b1 = (det(a0, c1) + det(a1, c0)) / 4.0
+    return SlabProfile(3, edges, det(a0, c0) / 2.0, b1, det(a1, c1) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def describe(body: Body) -> dict:
         return {"type": "polytope", "dim": body.dim, "vertices": len(body.vertices)}
     if isinstance(body, AnalyticProfile):
         return {"type": "profile", "dim": body.dim, "knots": len(body.knots)}
-    return {"type": "slab_profile", "dim": body.dim, "slabs": len(body.s0)}
+    return {"type": "slab_profile", "dim": body.dim, "slabs": len(body.b0)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grunbaum.bodies import (
@@ -128,15 +128,15 @@ def test_validate_extremal_cone_clean():
 
 def unit_slab(dim=3):
     """A(t) = 1 on [0, 1]: the unit cylinder's profile."""
-    return SlabProfile(dim, (0.0, 1.0), (1.0,), (0.0,), (0.0,))
+    return SlabProfile(dim, (0.0, 1.0), (1.0,), (1.0,), (1.0,))
 
 
 def test_validate_slab_profile():
     assert validate(unit_slab()) == []
-    # A(t) = 0.1 + t**2 on [0, 1], written about the slab centre 0.5
-    convex_area = SlabProfile(2, (0.0, 1.0), (0.35,), (1.0,), (1.0,))
+    # A(t) = 0.1 + t**2 on [0, 1], in Bernstein form
+    convex_area = SlabProfile(2, (0.0, 1.0), (0.1,), (0.1,), (1.1,))
     assert any("not concave" in p for p in validate(convex_area))
-    negative = SlabProfile(3, (0.0, 1.0, 2.0), (1.0, -0.5), (0.0, 0.0), (0.0, 0.0))
+    negative = SlabProfile(3, (0.0, 1.0, 2.0), (1.0, -0.5), (1.0, -0.5), (1.0, -0.5))
     assert any("negative" in p for p in validate(negative))
 
 
@@ -217,7 +217,7 @@ def test_slab_profile_affine_identities(seed, shift, factor):
     assert sym.reflected().reflected() == sym
     assert dilate(dilate(sym, 2.0), 0.5) == sym
     moved = translate(sym, shift)
-    assert (moved.s0, moved.s1, moved.s2) == (sym.s0, sym.s1, sym.s2)
+    assert (moved.b0, moved.b1, moved.b2) == (sym.b0, sym.b1, sym.b2)
     scaled = dilate(sym, factor)
     flipped = sym.reflected()
     vol = measure.volume(sym)
@@ -235,3 +235,30 @@ def test_slab_profile_affine_identities(seed, shift, factor):
         assert measure.cut_volume(sym, axis.negated(), -t) == pytest.approx(
             vol - cut, rel=1e-12, abs=1e-12 * vol
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(-17.0, -6.0).map(lambda k: 10.0**k),
+    shift=st.floats(-1e8, 1e8),
+    factor=st.floats(1e-3, 1e3),
+)
+@example(eps=1e-11, shift=1e8, factor=1.0)
+def test_slab_table_affine_maps_never_raise(eps, shift, factor):
+    """A shift can round slabs of a near-tie table (the tetrahedron's vertex
+    heights 0, 0.84*eps, 1.2*eps, 1) to zero width; they are dropped, and
+    the table keeps its volume."""
+    tet = Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    table = measure.section_table(tet, Direction.from_vector((1.2 * eps, 0.84 * eps, 1.0)))
+    vol = measure.volume(table)
+    moved = translate(table, shift)
+    lo, hi = table.support
+    assert moved.support == (lo + shift, hi + shift)
+    for body, want in (
+        (moved, vol),
+        (moved.reflected(), vol),
+        (dilate(moved, factor), vol * factor**3),
+        (translate(moved, -shift), vol),
+    ):
+        assert measure.volume(body) == pytest.approx(want, rel=1e-7)
+        assert all(b > a for a, b in zip(body.edges, body.edges[1:]))

@@ -380,6 +380,38 @@ def test_symmetrize_output_passes_verify(tmp_path, capsys):
     assert len(out.splitlines()) == 6
 
 
+def test_verify_tetrahedron_with_near_tied_heights(tmp_path, capsys):
+    """Vertex heights 0, 8.4e-13, 1.2e-12 and 1: the cone meets its bound."""
+    path = write_body(tmp_path, Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    code, out, err = run(
+        capsys, "verify", "--body", path, "--alpha", "0", "--direction", "1.2e-12,0.84e-12,1"
+    )
+    assert code == 0, err
+    reports = [verify.report_from_json(line) for line in out.splitlines()]
+    (t5,) = [r for r in reports if r.quantity == "section_ratio"]
+    assert t5.measured == pytest.approx(0.5625, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", ["1e-17", "1e-13"])
+def test_symmetral_with_near_tied_knots_passes_verify(tmp_path, capsys, eps):
+    """Centering rounds the knots at 0 and eps onto one height."""
+    path = write_body(tmp_path, Polytope(2, ((0, 0), (1, 0), (0, 1))))
+    sym_path = str(tmp_path / "sym.json")
+    argv = ("symmetrize", "--body", path, "--direction", f"{eps},1", "--out", sym_path)
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, "verify", "--body", sym_path)
+    assert code == 0, err
+
+
+def test_slab_profile_old_columns_exit_2(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    old = {"type": "slab_profile", "dim": 3, "edges": [0, 1], "s0": [1], "s1": [0], "s2": [0]}
+    path.write_text(json.dumps(old))
+    code, _, err = run(capsys, "verify", "--body", str(path))
+    assert code == 2
+    assert "edges, b0, b1, b2" in err
+
+
 def test_profile_commands_do_not_import_scipy(tmp_path):
     """scipy is imported only to build a hull, so commands that build none
     start without it."""
@@ -439,7 +471,7 @@ _NOT_A_NUMBER = st.one_of(
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
 
 
-_SLAB_COLUMNS = ("edges", "s0", "s1", "s2")
+_SLAB_COLUMNS = ("edges", "b0", "b1", "b2")
 
 
 @st.composite
@@ -452,11 +484,14 @@ def malformed_bodies(draw):
         obj = {"type": "profile", "dim": 2, key: [[0.0, 1.0], [1.0, 0.0]]}
     else:
         obj = {"type": "slab_profile", "dim": 2, "edges": [0.0, 1.0]}
-        obj.update(s0=[1.0], s1=[0.0], s2=[0.0])
+        obj.update(b0=[1.0], b1=[1.0], b2=[1.0])
         key = draw(st.sampled_from(_SLAB_COLUMNS))
     rows = obj[key]  # every row has 2 entries; a slab column is flat
     flat = obj["type"] == "slab_profile"
-    flaw = draw(st.sampled_from(["top", "type", "dim", "rows", "row", "entry"]))
+    flaws = ["top", "type", "dim", "rows", "row", "entry"] + (["columns"] if flat else [])
+    flaw = draw(st.sampled_from(flaws))
+    if flaw == "columns":  # the monomial columns s0, s1, s2 of an older format
+        return {k.replace("b", "s"): v for k, v in obj.items()}
     if flaw == "top":
         not_a_dict = _NOT_A_LIST.filter(lambda v: not isinstance(v, dict))
         return draw(st.one_of(not_a_dict, st.lists(st.just(obj), max_size=2)))

@@ -196,20 +196,23 @@ def test_max_section_slab_profile_plateau():
 def _max_section_by_area_at(prof):
     """Reference: the same search in numpy scalars, with every area in the
     bisection read through ``area_at``."""
-    (s0, s1, s2), edges, tc = prof._s, prof._edges, prof._tc
-    best = 0.0
-    for i in range(len(tc)):
-        xs = [edges[i] - tc[i], edges[i + 1] - tc[i]]
-        if s2[i] < 0.0 and xs[0] < -s1[i] / (2.0 * s2[i]) < xs[1]:
-            xs.append(-s1[i] / (2.0 * s2[i]))
-        best = max([best] + [s0[i] + x * (s1[i] + x * s2[i]) for x in xs])
+    (b0, b1, b2), edges, width = prof._b, prof._edges, prof._width
+
+    def bernstein(i, u):
+        v = 1.0 - u
+        return v * (b0[i] * v + 2.0 * b1[i] * u) + b2[i] * (u * u)
+
+    peaks = [1.0] * len(b0)
+    for i in range(len(b0)):
+        if b1[i] > b0[i] and b1[i] > b2[i]:
+            peaks[i] = (b1[i] - b0[i]) / ((b1[i] - b0[i]) + (b1[i] - b2[i]))
+    best = max([0.0] + [max(b0[i], bernstein(i, u)) for i, u in enumerate(peaks)])
     thresh = best - 1e-13 * max(best, 1.0)
-    for i in range(len(tc)):
-        lo_t, xs = edges[i], edges[i + 1]
+    for i, u in enumerate(peaks):
+        lo_t = edges[i]
         if prof.area_at(lo_t) >= thresh:
             return float(lo_t), float(best)
-        if s2[i] < 0.0 and lo_t < tc[i] - s1[i] / (2.0 * s2[i]) < xs:
-            xs = tc[i] - s1[i] / (2.0 * s2[i])
+        xs = edges[i + 1] if u == 1.0 else lo_t + u * width[i]
         if prof.area_at(xs) >= thresh:
             a, b = lo_t, xs
             for _ in range(80):
@@ -232,6 +235,74 @@ def test_max_section_matches_area_at_search(seed, n):
     assert (t0, area) == _max_section_by_area_at(prof)
     grid = np.linspace(*prof.support, 513)
     assert area >= float(prof.area_at(grid).max()) - 1e-12 * max(area, 1.0)
+
+
+def _slice_area(pts, xi, t):
+    """Area (chord length in the plane) of {x in hull(pts) : <x, xi> = t}
+    from scipy: the hull of the points at height t and of the crossings of
+    every segment between two points (the edge crossings among them)."""
+    h = pts @ xi
+    i, j = np.triu_indices(len(pts), 1)
+    cross = (h[i] - t) * (h[j] - t) < 0.0
+    i, j = i[cross], j[cross]
+    s = ((t - h[i]) / (h[j] - h[i]))[:, None]
+    cut = np.concatenate([pts[h == t], pts[i] + s * (pts[j] - pts[i])])
+    flat = cut @ np.linalg.svd(xi[None])[2][1:].T  # coordinates in the plane
+    if len(pts[0]) == 2:
+        return float(np.ptp(flat)) if len(flat) else 0.0
+    try:
+        return ConvexHull(flat).volume
+    except Exception:  # fewer than three points, or all on a line
+        return 0.0
+
+
+def _max_section_by_slicing(body, d):
+    """Reference for the largest section: slice areas at every vertex height
+    and on a grid, then a golden-section search between the neighbours of
+    the best sample (A is unimodal: A**(1/(n-1)) is concave)."""
+    pts, xi = body.vertex_array(), d.as_array()
+    h = pts @ xi
+    ts = np.unique(np.concatenate([h, np.linspace(h.min(), h.max(), 129)]))
+    areas = [_slice_area(pts, xi, t) for t in ts]
+    k = int(np.argmax(areas))
+    a, b = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        x, y = b - g * (b - a), a + g * (b - a)
+        if _slice_area(pts, xi, x) >= _slice_area(pts, xi, y):
+            b = y
+        else:
+            a = x
+    return max(areas[k], _slice_area(pts, xi, 0.5 * (a + b)))
+
+
+_NEAR_TIES = [
+    (Polytope(2, ((0, 0), (1, 0), (0, 1))), lambda e: (e, 1.0)),
+    (
+        Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        lambda e: (1.2 * e, 0.84 * e, 1.0),
+    ),
+    (unit_cube(), lambda e: (1.0, e, 0.7 * e)),
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_max_section_matches_slicing_reference(seed):
+    """The table's maximal section against scipy's areas of the sliced body,
+    on random polytopes and on bodies whose vertex heights nearly tie."""
+    cases = [
+        (body, Direction.from_vector(vec(eps)))
+        for body, vec in _NEAR_TIES
+        for eps in (10.0 ** -(17 - 2 * seed), 10.0 ** -(16 - 2 * seed))
+        if eps <= 1e-6
+    ]
+    for n in (2, 3):
+        body = oracle.random_polytope(n, 12, seed)
+        vec = oracle.rng_for(seed, shard=8).standard_normal(n)
+        cases.append((body, Direction.from_vector(vec)))
+    for body, d in cases:
+        want = _max_section_by_slicing(body, d)
+        assert measure.max_section(body, d)[1] == pytest.approx(want, rel=1e-12)
 
 
 def _midpoint_concavity_ok(values, tol):

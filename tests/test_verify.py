@@ -59,6 +59,27 @@ def test_section_ratio_examples():
     assert verify.section_ratio(body, CutSpec(AXIS2, alpha)) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", np.logspace(-17, -6, 12))
+def test_section_ratio_at_near_tied_vertex_heights(eps):
+    """Vertex heights a few ulps to 1e-6 apart: the triangle and tetrahedron
+    (cones) read their exact ratio, d(0, n) + O(eps), and the cube 1."""
+    tri = Polytope(2, ((0, 0), (1, 0), (0, 1)))
+    tet = Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cube = Polytope(3, tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)))
+    a, b = 1.2 * eps, 0.84 * eps
+    cases = [
+        (tri, (eps, 1.0), (2.0 - eps) / (3.0 * (1.0 - eps)), C.bounds(0.0, 2).d),
+        # up to a relative O(eps**2): the maximum sits just below height a
+        (tet, (a, b, 1.0), (9.0 / 16.0) * ((1.0 - (a + b) / 3.0) / (1.0 - a)) ** 2, 0.5625),
+        (cube, (1.0, eps, 0.7 * eps), 1.0, 1.0),
+    ]
+    for body, vec, exact, bound in cases:
+        ratio = verify.section_ratio(body, CutSpec(Direction.from_vector(vec), 0.0))
+        assert ratio == pytest.approx(exact, abs=1e-9)
+        assert abs(exact - bound) <= eps + 1e-15
+        assert verify.check_theorem5(body, CutSpec(Direction.from_vector(vec), 0.0)).passed
+
+
 def test_check_theorem4_sharpness():
     rep = verify.check_theorem4(E.lower_extremizer(0.2, 2), CutSpec(AXIS2, 0.2))
     assert rep.passed and rep.equality
