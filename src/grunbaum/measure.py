@@ -85,6 +85,37 @@ def _crossing(pts, heights, a, b, t):
     return pts[a] + s[:, None] * (pts[b] - pts[a])
 
 
+# (facet, slab) pairs summed at once: the pair count grows faster than the
+# vertex count, so large hulls are summed in blocks of facets
+_PAIR_BLOCK = 1 << 16
+
+
+def _slab_sums(pts, heights, edges, facets, rank, sign, xi):
+    """The Bernstein sums (b0, b1, b2) of ``_poly_slabs`` over the given
+    facets, whose vertices are sorted by height and have slab indices
+    ``rank`` and orientations ``sign``: one row per (facet, slab) pair."""
+    count = rank[:, -1] - rank[:, 0]
+    f = np.repeat(np.arange(len(facets)), count)
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - rank[:, 0], count)
+    t0, t1, sign = edges[j], edges[j + 1], sign[f]
+    lo, hi = facets[f, 0], facets[f, -1]
+    k = len(edges) - 1  # slabs
+    a0, a1 = (_crossing(pts, heights, lo, hi, t) for t in (t0, t1))
+    if len(xi) == 2:  # det(p, xi) of each chord end p
+        b0, b2 = (np.bincount(j, sign * (a @ [xi[1], -xi[0]]), minlength=k) for a in (a0, a1))
+        return np.array([b0, (b0 + b2) / 2.0, b2])
+    # each segment runs from the lo-hi edge (a) to the other edge the slab spans (c)
+    below = j < rank[f, 1]
+    mid = facets[f, 1]
+    u, v = np.where(below, lo, mid), np.where(below, mid, hi)
+    c0, c1 = (_crossing(pts, heights, u, v, t) for t in (t0, t1))
+
+    def det(a, c):
+        return np.bincount(j, sign * (np.cross(a, c) @ xi), minlength=k)
+
+    return np.array([det(a0, c0) / 2.0, (det(a0, c1) + det(a1, c0)) / 4.0, det(a1, c1) / 2.0])
+
+
 @lru_cache(maxsize=512)
 def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
     """The section area A(t) of a polytope along xi, exactly, as a table of
@@ -98,7 +129,8 @@ def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
     ``sum det(a0, b0, xi) / 2``, ``sum (det(a0, b1, xi) + det(a1, b0, xi)) / 4``
     and ``sum det(a1, b1, xi) / 2``.  In the plane the section is a chord,
     F meets it in one signed end p(t), and the sum of det(p, xi) is linear.
-    One row per (facet, slab) pair; no step divides by a slab width.
+    The sums run over blocks of about ``_PAIR_BLOCK`` (facet, slab) pairs,
+    so memory stays bounded on large hulls; no step divides by a slab width.
     """
     xi = np.asarray(xi_coords)
     pts, simplices, eqs, _, cent = _hull_data(body)
@@ -109,32 +141,18 @@ def _poly_slabs(body: Polytope, xi_coords: tuple[float, ...]) -> SlabProfile:
     if len(edges) < 2:
         raise DegenerateBodyError("polytope is flat along the slicing direction")
     rank = np.searchsorted(edges, heights[facets])  # slab index of each vertex
-    count = rank[:, -1] - rank[:, 0]
-    f = np.repeat(np.arange(len(facets)), count)
-    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - rank[:, 0], count)
-    t0, t1 = edges[j], edges[j + 1]
     # +1 where the vertices in height order turn positively about nu_F,
     # which orients each segment along xi x nu_F
     turn = np.concatenate([eqs[:, None, :-1], pts[facets[:, 1:]] - pts[facets[:, :1]]], axis=1)
-    sign = np.sign(np.linalg.det(turn))[f]
+    sign = np.sign(np.linalg.det(turn))
     pts = pts - cent  # only the rounding depends on the origin
-    lo, hi = facets[f, 0], facets[f, -1]
-    k = len(edges) - 1  # slabs
-    a0, a1 = (_crossing(pts, heights, lo, hi, t) for t in (t0, t1))
-    if body.dim == 2:  # det(p, xi) of each chord end p
-        b0, b2 = (np.bincount(j, sign * (a @ [xi[1], -xi[0]]), minlength=k) for a in (a0, a1))
-        return SlabProfile(2, edges, b0, (b0 + b2) / 2.0, b2)
-    # each segment runs from the lo-hi edge (a) to the other edge the slab spans (c)
-    below = j < rank[f, 1]
-    mid = facets[f, 1]
-    u, v = np.where(below, lo, mid), np.where(below, mid, hi)
-    c0, c1 = (_crossing(pts, heights, u, v, t) for t in (t0, t1))
-
-    def det(a, c):
-        return np.bincount(j, sign * (np.cross(a, c) @ xi), minlength=k)
-
-    b1 = (det(a0, c1) + det(a1, c0)) / 4.0
-    return SlabProfile(3, edges, det(a0, c0) / 2.0, b1, det(a1, c1) / 2.0)
+    ends = np.cumsum(rank[:, -1] - rank[:, 0])  # pairs up to each facet
+    cuts = np.unique(np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK)))
+    coef = sum(
+        _slab_sums(pts, heights, edges, facets[i:m], rank[i:m], sign[i:m], xi)
+        for i, m in zip([0, *cuts], [*cuts, len(facets)])
+    )
+    return SlabProfile(body.dim, edges, *coef)
 
 
 # ---------------------------------------------------------------------------

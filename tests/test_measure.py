@@ -305,6 +305,26 @@ def test_max_section_matches_slicing_reference(seed):
         assert measure.max_section(body, d)[1] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", (2, 3))
+def test_slab_table_blocks_add_up(n, monkeypatch):
+    """Summing the (facet, slab) pairs in blocks of a few facets gives the
+    table of one block, up to rounding."""
+    body = oracle.random_polytope(n, 40, 7)
+    d = Direction.from_vector(oracle.rng_for(7, shard=8).standard_normal(n))
+    whole = measure._poly_slabs(body, d.coords)
+    monkeypatch.setattr(measure, "_PAIR_BLOCK", 5)
+    measure._poly_slabs.cache_clear()
+    try:
+        blocked = measure._poly_slabs(body, d.coords)
+    finally:
+        measure._poly_slabs.cache_clear()
+    assert blocked.edges == whole.edges
+    scale = max(whole.b1)
+    for col in ("b0", "b1", "b2"):
+        got, want = getattr(blocked, col), getattr(whole, col)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+
+
 def _midpoint_concavity_ok(values, tol):
     worst = -math.inf
     for gap in range(1, (len(values) - 1) // 2 + 1):
