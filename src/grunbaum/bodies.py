@@ -27,8 +27,12 @@ import numpy as np
 
 #: tolerance on the Euclidean norm of a direction vector
 UNIT_NORM_TOL = 1e-12
-#: consecutive radius slopes may increase by at most this much
-CONCAVITY_SLOPE_TOL = 1e-10
+#: the largest scaled concavity violation ``validate`` accepts; also the
+#: default tolerance of ``verify.check_concavity``
+CONCAVITY_TOL = 1e-9
+#: ``max_section`` returns the leftmost height whose section is within
+#: this fraction of the largest
+_LEFTMOST_REL = 1e-13
 #: largest profile dimension: from dim 437 on, the unit (dim-1)-ball volume
 #: that scales every section is below ``sys.float_info.min``
 MAX_PROFILE_DIM = 436
@@ -225,13 +229,14 @@ class AnalyticProfile:
         return section_ball_volume(self.dim) * total
 
     def max_section(self) -> tuple[float, float]:
-        """Leftmost maximizer of A and the maximal area; for a concave
-        piecewise-linear radius the maximum is attained at a knot."""
+        """Leftmost maximizer of A and the maximal area.  For a concave
+        piecewise-linear radius the maximum is attained at a knot: the
+        leftmost knot whose radius is within ``_LEFTMOST_REL`` (relative)
+        of the largest."""
         ts, rs = self.heights(), self.radii()
         rmax = float(rs.max())
-        thresh = rmax - 1e-13 * max(rmax, 1.0)
-        idx = int(np.argmax(rs >= thresh))
-        return float(ts[idx]), section_ball_volume(self.dim) * float(rs[idx]) ** (self.dim - 1)
+        idx = int(np.argmax(rs >= rmax - _LEFTMOST_REL * rmax))
+        return float(ts[idx]), section_ball_volume(self.dim) * rmax ** (self.dim - 1)
 
     def reflected(self) -> "AnalyticProfile":
         """The profile of the same body viewed along the negated axis."""
@@ -246,11 +251,13 @@ class SlabProfile:
     Bernstein polynomial ``b0[i]*(1-u)**2 + 2*b1[i]*u*(1-u) + b2[i]*u**2`` in
     ``u = (t - edges[i]) / (edges[i+1] - edges[i])``: b0 and b2 are the areas
     at the slab's ends.  On a convex body every coefficient is >= 0, so the
-    integrals below are sums of nonnegative terms.  This is the exact
-    Schwarz symmetral of a polytope (``measure`` builds the table from the
-    hull's facets).  Construction drops slabs of zero width, which hold no
-    volume, and keeps numpy copies of the table and the cumulative slab
-    integrals, so queries convert nothing.
+    integrals below are sums of nonnegative terms; ``validate`` decides from
+    the coefficients, exactly, that A >= 0, does not jump, and has
+    A^(1/(n-1)) concave.  This is the exact Schwarz symmetral of a polytope
+    (``measure`` builds the table from the hull's facets).  Construction
+    drops slabs of zero width, which hold no volume, and keeps numpy copies
+    of the table and the cumulative slab integrals (``_tails``, the volume
+    above each edge), so queries convert nothing.
     """
 
     dim: int
@@ -289,17 +296,14 @@ class SlabProfile:
     def support(self) -> tuple[float, float]:
         return (self.edges[0], self.edges[-1])
 
-    def _quadratic(self, t: np.ndarray) -> np.ndarray:
-        """The slab polynomials at heights t, unclamped."""
-        b0, b1, b2 = self._b
-        i = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(b0) - 1)
-        return _bernstein(b0[i], b1[i], b2[i], (t - self._edges[i]) / self._width[i])
-
     def area_at(self, t):
         """Section area at height t, 0 outside the support.  Accepts arrays."""
         t = np.asarray(t, dtype=float)
+        b0, b1, b2 = self._b
+        i = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, len(b0) - 1)
+        area = _bernstein(b0[i], b1[i], b2[i], (t - self._edges[i]) / self._width[i])
         inside = (t >= self._edges[0]) & (t <= self._edges[-1])
-        out = np.where(inside, np.maximum(self._quadratic(t), 0.0), 0.0)
+        out = np.where(inside, np.maximum(area, 0.0), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def volume(self) -> float:
@@ -328,13 +332,13 @@ class SlabProfile:
     def max_section(self) -> tuple[float, float]:
         """Leftmost maximizer of A and the maximal area: the best slab end or
         vertex of a slab, then bisection down to the leftmost height within
-        1e-13 (relative) of it.  All in Python floats, on each slab's own
-        polynomial."""
+        ``_LEFTMOST_REL`` (relative) of it.  All in Python floats, on each
+        slab's own polynomial."""
         edges, width = self.edges, self._width.tolist()
         slabs = list(zip(self.b0, self.b1, self.b2))
         peaks = [_peak(*b) for b in slabs]
         best = max([0.0] + [max(b[0], _bernstein(*b, u)) for b, u in zip(slabs, peaks)])
-        thresh = best - 1e-13 * max(best, 1.0)
+        thresh = best - _LEFTMOST_REL * best
         for i, ((b0, b1, b2), u) in enumerate(zip(slabs, peaks)):
             lo, w = edges[i], width[i]
 
@@ -438,64 +442,134 @@ def dilate(body: Body, factor: float) -> Body:
 
 
 def _validate_polytope(body: Polytope) -> list[str]:
-    problems = []
-    verts = body.vertex_array()
-    if len(verts) < body.dim + 1:
-        problems.append(
-            f"needs at least {body.dim + 1} vertices in dimension {body.dim}, has {len(verts)}"
-        )
-    if len(verts) >= 2:
-        rank = np.linalg.matrix_rank(verts[1:] - verts[0])
-        if rank < body.dim:
-            problems.append(
-                f"vertices span an affine subspace of dimension {rank} < {body.dim}"
-            )
+    problems, verts, n = [], body.vertex_array(), body.dim
+    if len(verts) < n + 1:
+        problems.append(f"needs at least {n + 1} vertices in dimension {n}, has {len(verts)}")
+    rank = np.linalg.matrix_rank(verts[1:] - verts[0]) if len(verts) >= 2 else n
+    if rank < n:
+        problems.append(f"vertices span an affine subspace of dimension {rank} < {n}")
     return problems
 
 
-def _validate_analytic_profile(body: AnalyticProfile) -> list[str]:
-    problems = []
+# ---------------------------------------------------------------------------
+# Brunn's principle, decided from a section table's own coefficients
+
+#: de Casteljau's rule at u = 1/2: the Bernstein coefficients of a quartic's left half
+_HALF = np.array([[math.comb(i, j) / 2.0**i for j in range(5)] for i in range(5)])
+
+
+def _bernstein_min(q0, q1, q2):
+    """Least value of ``_bernstein(q0, q1, q2, u)`` over u in [0, 1], per slab."""
+    dip = (q1 < q0) & (q1 < q2)
+    d = np.where(dip, (q0 - q1) + (q2 - q1), 1.0)
+    return np.where(dip, q0 - (q0 - q1) ** 2 / d, np.minimum(q0, q2))
+
+
+def _certified_min(rows: np.ndarray, floor: float) -> float:
+    """A lower bound on the least value over [0, 1] of the quartics with
+    Bernstein coefficients ``rows`` (each is at least its smallest one), or
+    a value below ``floor`` one takes at an end of a piece: rows with a
+    coefficient below ``floor`` are halved until every piece clears it."""
+    least = math.inf
+    for _ in range(40):  # then the bound stands as it is
+        low = rows.min(axis=1) < floor
+        least = min(least, float(rows[~low].min(initial=math.inf)))
+        rows = rows[low]
+        if not len(rows) or rows[:, [0, -1]].min() < floor:
+            return float(rows[:, [0, -1]].min(initial=least))
+        rows = np.concatenate([rows @ _HALF.T, (rows[:, ::-1] @ _HALF.T)[:, ::-1]])
+    return float(rows.min())
+
+
+def _profile_concavity(body: AnalyticProfile, which: str) -> dict:
     ts, rs = body.heights(), body.radii()
-    for i, r in enumerate(rs):
-        if r < 0.0:
-            problems.append(f"knot {i} has negative radius {r}")
-    for i, r in enumerate(rs[1:-1], start=1):
-        if r <= 0.0:
-            problems.append(f"interior knot {i} has nonpositive radius {r}")
+    rmax = float(rs.max())
+    if not rmax > 0.0:
+        return {}
     slopes = np.diff(rs) / np.diff(ts)
-    for i in range(len(slopes) - 1):
-        if slopes[i + 1] > slopes[i] + CONCAVITY_SLOPE_TOL:
-            problems.append(
-                f"radius is not concave at knot {i + 1}: "
-                f"slope rises from {float(slopes[i])!r} to {float(slopes[i + 1])!r}"
-            )
+    if which == "A":
+        rises = np.diff(slopes) * (ts[-1] - ts[0]) / rmax
+        return {f"radius is not concave at knot {i + 1}": float(x) for i, x in enumerate(rises)}
+    excess, n = [], body.dim
+    for i in np.flatnonzero(slopes < 0.0).tolist():
+        rb = rs[i + 1]
+        if rb > 0.0:  # V(b) / (omega r_b^n) from the radii after b over r_b: nothing underflows
+            r0, r1, h = rs[i + 1 : -1] / rb, rs[i + 2 :] / rb, np.diff(ts[i + 1 :]) / rb
+            tail = float(np.sum(_lin_pow_integrals(r0, r1, h, n)[0]))
+            excess.append(-float(slopes[i]) * n * tail - 1.0)
+        elif rs[i + 1 :].any():
+            excess.append(math.inf)
+    return {"V^(1/dim) is not concave": max(excess, default=0.0)}
+
+
+def _slab_concavity(body: SlabProfile, which: str, tol: float) -> dict:
+    bmax = float(np.abs(body._b).max())
+    if not bmax > 0.0:
+        return {}
+    b0, b1, b2 = (b / bmax for b in body._b)  # nothing below squares an area
+    w = body._width
+    drop = b2[:-1] - b0[1:]  # the fall of A across each inner edge
+    a0, a1 = b1 - b0, b2 - b1  # A' / 2 in u at the slab's ends
+    if which == "A":
+        k, c = 2.0 - 2.0 / (body.dim - 1), a1 - a0
+        q = _bernstein_min(k * a0 * a0 - c * b0, k * a0 * a1 - c * b1, k * a1 * a1 - c * b2)
+        kink = (a0[1:] * w[:-1] - a1[:-1] * w[1:]) / (w[:-1] + w[1:])
+        return {
+            "section area is negative": -float(_bernstein_min(b0, b1, b2).min()),
+            "section area jumps at an inner edge": float(np.abs(drop).max(initial=0.0)),
+            "A^(1/(dim-1)) is not concave inside a slab": -float(q.min()),
+            "A^(1/(dim-1)) is not concave at an inner edge": float(kink.max(initial=0.0)),
+        }
+    # G / (n V_total b_max), V's coefficients being the tail above plus suffix sums of A's
+    n, vol = body.dim, float(body._tails[0])
+    top, c = body._tails[1:] / vol, w * (bmax / vol)
+    v0, v1, v2 = top + c * (b0 + b1 + b2) / 3.0, top + c * (b1 + b2) / 3.0, top + c * b2 / 3.0
+    g = (n - 1) / n * c * np.array([b0 * b0, b0 * b1, (b0 * b2 + 2 * b1**2) / 3, b1 * b2, b2 * b2])
+    g += np.array(
+        [2.0 * v0 * a0, (3.0 * v1 * a0 + v0 * a1) / 2.0, v2 * a0 + v1 * a1,
+         (top * a0 + 3.0 * v2 * a1) / 2.0, 2.0 * top * a1]
+    )  # fmt: skip
+    return {
+        "V^(1/dim) is not concave inside a slab": -_certified_min(g.T, -tol),
+        "V^(1/dim) is not concave at an inner edge": float((top[:-1] * drop).max(initial=0.0)),
+    }
+
+
+def concavity_violations(table, which: str = "A", tol: float = CONCAVITY_TOL) -> dict:
+    """Brunn's principle on a section table, decided exactly: each
+    invariant that A^(1/(n-1)) (which="A") or V^(1/n) (which="V", V(t) the
+    volume above t) be concave rests on, with its worst violation (<= 0
+    where it holds).  ``verify.check_concavity`` lists the forms and their
+    scale-free units; none divides by a slab's width.  Only the quartic of
+    a slab table's V form is searched, to within ``tol``."""
+    if which not in ("A", "V"):
+        raise ValueError(f"which must be 'A' or 'V', got {which!r}")
+    if isinstance(table, AnalyticProfile):
+        return _profile_concavity(table, which)
+    if isinstance(table, SlabProfile):
+        return _slab_concavity(table, which, tol)
+    raise TypeError(f"not a profile or slab table: {table!r}")
+
+
+def _validate_radii(body: AnalyticProfile) -> list[str]:
+    rs = body.radii()
+    problems = [f"knot {i} has negative radius {r}" for i, r in enumerate(rs) if r < 0.0]
+    inner = enumerate(rs[1:-1], start=1)
+    problems += [f"interior knot {i} has nonpositive radius {r}" for i, r in inner if r <= 0.0]
     if np.all(rs == 0.0):
         problems.append("profile has zero volume (all radii vanish)")
     return problems
 
 
-def _validate_slab_profile(body: SlabProfile) -> list[str]:
-    problems = []
-    a = body._quadratic(np.linspace(*body.support, 65))
-    # the integrals use the polynomials as they are, negative parts included
-    if float(a.min()) < -1e-9 * max(float(a.max()), 1.0):
-        problems.append("section area is negative somewhere on the support")
-    # midpoint concavity of A^{1/(dim-1)} on the grid
-    root = np.maximum(a, 0.0) ** (1.0 / (body.dim - 1))
-    gap = 0.5 * (root[:-2] + root[2:]) - root[1:-1]
-    worst = float(gap.max()) if len(gap) else 0.0
-    scale = max(float(root.max()), 1.0)
-    if worst > 1e-9 * scale:
-        problems.append(f"A^(1/(dim-1)) is not concave on the support (violation {worst:.3e})")
-    return problems
-
-
 def validate(body: Body) -> list[str]:
-    """Diagnostics, one string per violated invariant; empty when valid."""
+    """Diagnostics, one string per violated invariant; empty when valid.
+    A profile or slab table must have A^(1/(n-1)) concave (and, for a
+    slab table, A >= 0 without jumps): ``concavity_violations`` with "A",
+    each invariant held to ``CONCAVITY_TOL``."""
     if isinstance(body, Polytope):
         return _validate_polytope(body)
-    if isinstance(body, AnalyticProfile):
-        return _validate_analytic_profile(body)
-    if isinstance(body, SlabProfile):
-        return _validate_slab_profile(body)
-    raise TypeError(f"not a body: {body!r}")
+    problems = _validate_radii(body) if isinstance(body, AnalyticProfile) else []
+    violations = concavity_violations(body, "A").items()  # TypeError if not a body
+    return problems + [
+        f"{what} (scaled violation {v:.3e})" for what, v in violations if v > CONCAVITY_TOL
+    ]

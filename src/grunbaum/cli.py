@@ -223,17 +223,8 @@ def cmd_verify(args) -> int:
     if args.alpha == 0.0:
         reports.append(verify.check_grunbaum(body, direction, tol=args.tol, context=ctx))
     if args.mc_samples:
-        reports.append(
-            verify.check_theorem4(
-                body,
-                cut,
-                tol=args.tol,
-                backend=verify.MONTE_CARLO,
-                mc_samples=args.mc_samples,
-                seed=args.seed,
-                context=ctx,
-            )
-        )
+        mc = dict(backend=verify.MONTE_CARLO, mc_samples=args.mc_samples, seed=args.seed)
+        reports.append(verify.check_theorem4(body, cut, tol=args.tol, context=ctx, **mc))
     for rep in reports:
         print(rep.to_json())
     return 0 if all(r.passed for r in reports) else 1

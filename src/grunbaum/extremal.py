@@ -14,15 +14,10 @@ from __future__ import annotations
 
 import math
 
-from . import constants, measure
-from .bodies import AnalyticProfile, Direction, section_ball_volume, translate
+from . import constants
+from .bodies import AnalyticProfile, section_ball_volume
 from .constants import _check_n
-
-
-def centered(profile: AnalyticProfile) -> AnalyticProfile:
-    """Translate a profile so its centroid sits at height 0."""
-    shift = measure.centroid_coordinate(profile, Direction.axis(profile.dim))
-    return translate(profile, -shift)
+from .verify import center
 
 
 def grunbaum_cone(n: int) -> AnalyticProfile:
@@ -75,7 +70,7 @@ def lower_extremizer(alpha: float, n: int) -> AnalyticProfile:
         )
     if alpha <= 0.0:
         return grunbaum_cone(n)
-    return centered(double_cone(constants.beta0(alpha, n), n))
+    return center(double_cone(constants.beta0(alpha, n), n))
 
 
 def upper_extremizer(alpha: float, n: int) -> AnalyticProfile:
@@ -91,7 +86,7 @@ def upper_extremizer(alpha: float, n: int) -> AnalyticProfile:
         body = AnalyticProfile(n, ((0.0, 0.0), (1.0, 1.0)))
     else:
         body = truncated_cone(lam, n)
-    return centered(body)
+    return center(body)
 
 
 def theorem5_equality_cone(alpha: float, n: int) -> AnalyticProfile:

@@ -9,9 +9,9 @@ too: a concave piecewise-linear function is the minimum of its affine
 pieces, each taken as ``slope*(t - t_k) + r_k``, the formula ``np.interp``
 uses, so off the knots it equals ``AnalyticProfile.radius_at`` bit for bit
 (on a knot the two may differ by an ulp).  Its precondition is a concave
-radius, which ``bodies.validate`` checks up to a slope rise of
-``CONCAVITY_SLOPE_TOL`` per knot; at such a rise the minimum sits below
-the interpolation by at most the rise times the knot spacing.
+radius, which ``bodies.validate`` checks up to a slope rise at a knot of
+``CONCAVITY_TOL`` r_max per support length: the minimum sits below the
+interpolation by at most that rise times the knot spacing.
 
 One sampler serves every estimator.  It draws polytope points uniformly in
 the tight axis-aligned bounding box.  For a profile it draws the tight

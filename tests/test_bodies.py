@@ -115,6 +115,11 @@ def test_validate_non_concave_profile():
     bad = AnalyticProfile(2, ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))
     problems = validate(bad)
     assert any("concave" in p for p in problems)
+    # the slope rises by 1.2 r_max per support length, at every scale
+    for f in (1e-12, 1e12):
+        assert validate(dilate(bad, f)) == problems == [
+            "radius is not concave at knot 1 (scaled violation 1.200e+00)"
+        ]
 
 
 def test_validate_collinear_polytope():
@@ -138,6 +143,20 @@ def test_validate_slab_profile():
     assert any("not concave" in p for p in validate(convex_area))
     negative = SlabProfile(3, (0.0, 1.0, 2.0), (1.0, -0.5), (1.0, -0.5), (1.0, -0.5))
     assert any("negative" in p for p in validate(negative))
+
+
+def test_validate_slab_profile_negative_controls():
+    """Each exact test of a slab table fails on its own, on slabs of any
+    width."""
+    cases = {
+        "not concave inside a slab": SlabProfile(3, (0, 0.001, 1), (1, 1), (0.5, 1), (1, 0)),
+        "negative": SlabProfile(3, (0, 0.001, 1), (1, 1), (-2, 1), (1, 0)),
+        "not concave at an inner edge": SlabProfile(3, (0, 1, 2), (1, 1), (1, 2), (1, 3)),
+        "jumps": SlabProfile(3, (0, 1, 2), (1, 0.5), (1, 0.5), (1, 0.5)),
+    }
+    for what, body in cases.items():
+        problems = validate(body)
+        assert len(problems) == 1 and what in problems[0], problems
 
 
 def test_profile_dim_bound():

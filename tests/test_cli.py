@@ -161,6 +161,29 @@ def test_symmetrize_invalid_body_exit_2(tmp_path, capsys):
     assert "concave" in err
 
 
+@pytest.mark.parametrize("kind", ["grunbaum-cone", "reflected-cone"])
+@pytest.mark.parametrize("n", [150, 200, 300, 400])
+def test_verify_emitted_cones_pass_at_high_dimension(tmp_path, capsys, kind, n):
+    path = str(tmp_path / "cone.json")
+    assert run(capsys, "extremal", "--kind", kind, "--n", str(n), "--out", path)[0] == 0
+    code, out, err = run(capsys, "verify", "--body", path, "--alpha", "0.001")
+    assert code == 0, out + err
+
+
+@pytest.mark.parametrize(
+    "b1, invariant", [([0.5, 1], "not concave inside a slab"), ([-2, 1], "negative")]
+)
+def test_verify_slab_table_with_a_thin_bad_slab_exit_2(tmp_path, capsys, b1, invariant):
+    """A slab 1e-3 wide on which sqrt(A) is convex, or A < 0."""
+    obj = {"type": "slab_profile", "dim": 3, "edges": [0, 0.001, 1]}
+    obj.update(b0=[1, 1], b1=b1, b2=[1, 0])
+    path = tmp_path / "slabs.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--body", str(path), "--alpha", "0.001")
+    assert code == 2 and out == ""
+    assert invariant in err
+
+
 def test_verify_thin_wide_cone_passes(tmp_path, capsys):
     """A cone whose h * h underflows still has its centroid off the base."""
     path = tmp_path / "body.json"

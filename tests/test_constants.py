@@ -45,6 +45,15 @@ def test_classical_bounds():
     assert C.makai_martini_bound(3) == pytest.approx(9.0 / 16.0, abs=1e-15)
 
 
+def test_grunbaum_bound_is_theorem4_at_alpha_zero():
+    """``verify.check_grunbaum`` is ``check_theorem4`` at alpha = 0: there
+    c1 is the Grunbaum bound and c2 its complement."""
+    for n in [*range(2, 200), 10**3, 10**6, 10**12]:
+        bound = C.grunbaum_bound(n)
+        assert C.c1(0.0, n) == bound
+        assert abs(C.c2(0.0, n).value - (1.0 - bound)) <= math.ulp(1.0 - bound)
+
+
 def test_beta0_values():
     assert C.beta0(0.25, 2) == pytest.approx(0.6, abs=1e-15)
     assert C.beta0(0.1, 3) == pytest.approx(4.0 / 11.0, abs=1e-15)

@@ -207,7 +207,7 @@ def _max_section_by_area_at(prof):
         if b1[i] > b0[i] and b1[i] > b2[i]:
             peaks[i] = (b1[i] - b0[i]) / ((b1[i] - b0[i]) + (b1[i] - b2[i]))
     best = max([0.0] + [max(b0[i], bernstein(i, u)) for i, u in enumerate(peaks)])
-    thresh = best - 1e-13 * max(best, 1.0)
+    thresh = best - 1e-13 * best
     for i, u in enumerate(peaks):
         lo_t = edges[i]
         if prof.area_at(lo_t) >= thresh:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from grunbaum import constants as C
 from grunbaum import extremal as E
-from grunbaum import measure, oracle, verify
-from grunbaum.bodies import AnalyticProfile, CutSpec, Direction, Polytope, dilate
+from grunbaum import bodies, measure, oracle, verify
+from grunbaum.bodies import AnalyticProfile, CutSpec, Direction, Polytope, SlabProfile, dilate
 
 
 AXIS2 = Direction.axis(2)
@@ -105,6 +105,36 @@ def test_check_grunbaum_cube():
     assert rep.measured == pytest.approx(0.5, abs=1e-12)
 
 
+def test_check_grunbaum_is_theorem4_at_alpha_zero():
+    for body, d in (
+        (E.grunbaum_cone(3), Direction.axis(3)),
+        (oracle.random_polytope(2, 10, 5), Direction.from_vector((1.0, 0.4))),
+    ):
+        assert verify.check_grunbaum(body, d) == verify.check_theorem4(body, CutSpec(d, 0.0))
+
+
+def test_max_section_and_section_ratio_are_scale_free():
+    """The leftmost maximum is found to one relative threshold, and the
+    maximal area itself is returned, at every scale.  A polytope's maximum
+    may be smooth, where the leftmost height within 1e-13 of it moves by
+    about 1e-10 of the support when rounding changes (dilating the
+    vertices rounds them): its maximizer is compared to 1e-9."""
+    cases = [
+        (AnalyticProfile(3, ((0, 0), (0.4, 0.999995), (0.6, 1), (1, 0))), Direction.axis(3), 1e-12),
+        (oracle.random_polytope(3, 12, 17), Direction.from_vector((0.2, -0.5, 1.0)), 1e-9),
+    ]
+    for body, d, maximizer_tol in cases:
+        ratios, maximizers = [], []
+        for f in (1e-8, 1.0, 1e8):
+            scaled = dilate(body, f)
+            ratios.append(verify.section_ratio(scaled, CutSpec(d, 0.05)))
+            maximizers.append(measure.max_section(scaled, d)[0] / f)
+        assert max(ratios) - min(ratios) <= 1e-12
+        assert max(ratios) <= 1.0
+        lo, hi = measure.section_table(body, d).support
+        assert max(maximizers) - min(maximizers) <= maximizer_tol * (hi - lo)
+
+
 def test_check_minkowski_radon_cone_equality():
     rep = verify.check_minkowski_radon(E.grunbaum_cone(3), Direction.axis(3))
     assert rep.passed
@@ -144,6 +174,114 @@ def test_concavity_verdict_is_scale_free(which):
     corrupted = AnalyticProfile(2, ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))
     for f in (1e-6, 1.0, 1e8):
         assert not verify.check_concavity(dilate(corrupted, f), AXIS2, "A").passed
+
+
+TRI = Polytope(2, ((0, 0), (1, 0), (0, 1)))
+TET = Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+CUBE = Polytope(3, tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)))
+PRISM = Polytope(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 2), (0, 1, 2)))
+#: a cone whose radius has a knot where its slope does not change
+REDUNDANT_KNOT_CONE = AnalyticProfile(3, ((0.0, 1.0), (0.5, 0.5), (1.0, 0.0)))
+
+
+def _equality_corpus():
+    """Bodies on which the concavity conditions hold with equality
+    somewhere: cones at nearly tied vertex heights, a prism, the extremal
+    profiles up to n = 400, and a cone with a redundant knot."""
+    cases = [("prism", PRISM, Direction.from_vector((0.3, 0.2, 1.0)))]
+    for eps in (1e-17, 1e-15, 1e-12, 1e-9, 1e-6):
+        cases += [
+            (f"tet-{eps}", TET, Direction.from_vector((1.2 * eps, 0.84 * eps, 1.0))),
+            (f"tri-{eps}", TRI, Direction.from_vector((eps, 1.0))),
+            (f"cube-{eps}", CUBE, Direction.from_vector((1.0, eps, 0.7 * eps))),
+        ]
+    for n in (2, 3, 5, 50, 150, 400):
+        axis = Direction.axis(n)
+        cases += [
+            (f"cone-{n}", E.grunbaum_cone(n), axis),
+            (f"reflected-cone-{n}", E.reflected_grunbaum_cone(n), axis),
+            (f"double-cone-{n}", E.double_cone(0.3, n), axis),
+            (f"upper-{n}", E.upper_extremizer(0.5, n), axis),
+            (f"redundant-knot-{n}", AnalyticProfile(n, REDUNDANT_KNOT_CONE.knots), axis),
+        ]
+    return cases
+
+
+def _dilations(body):
+    """1e-6, 1 and 1e8, each replaced by a milder factor where the dilated
+    body's volume would leave the normal floats."""
+
+    def first(factors):
+        for f in factors:
+            try:
+                measure.volume(dilate(body, f))
+                return f
+            except measure.DegenerateBodyError:
+                pass
+
+    return first((1e-6, 0.5, 0.9)), 1.0, first((1e8, 10.0, 1.1))
+
+
+@pytest.mark.parametrize(
+    "body, direction", [pytest.param(*case[1:], id=case[0]) for case in _equality_corpus()]
+)
+def test_concavity_equality_corpus(body, direction):
+    """On bodies where the conditions are tight both concavity reports
+    pass and read 0 up to rounding, and ``validate`` accepts the table, at
+    every scale."""
+    for f in _dilations(body):
+        scaled = dilate(body, f)
+        assert bodies.validate(measure.section_table(scaled, direction)) == []
+        for which in ("A", "V"):
+            rep = verify.check_concavity(scaled, direction, which)
+            assert rep.passed and abs(rep.measured) <= 1e-12, (f, rep)
+
+
+def _slab_controls():
+    return {
+        # sqrt(A) convex on a slab narrower than any sampling grid
+        "narrow": SlabProfile(3, (0, 0.001, 1), (1, 1), (0.5, 1), (1, 0)),
+        "dip": SlabProfile(3, (0, 0.001, 1), (1, 1), (-2, 1), (1, 0)),  # A < 0 inside a slab
+        "kink": SlabProfile(3, (0, 1, 2), (1, 1), (1, 2), (1, 3)),  # flat, then rising
+        "jump": SlabProfile(3, (0, 1, 2), (1, 0.5), (1, 0.5), (1, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("name", ["narrow", "dip", "kink", "jump"])
+def test_check_concavity_slab_negative_controls(name):
+    rep = verify.check_concavity(_slab_controls()[name], Direction.axis(3), "A")
+    assert not rep.passed and rep.measured > 0.1
+
+
+def test_check_concavity_V_fails_on_raised_tails():
+    """Every tail volume of a 3-D polytope's table raised by 1e-6 of the
+    volume: V^(1/3) bends the wrong way at the apex."""
+    body = oracle.random_polytope(3, 12, 3)
+    table = measure.section_table(body, Direction.from_vector((0.3, -1.0, 0.5)))
+    copy = SlabProfile(3, table.edges, table.b0, table.b1, table.b2)
+    assert verify.check_concavity(copy, Direction.axis(3), "V").measured < 1e-15
+    object.__setattr__(copy, "_tails", copy._tails + 1e-6 * copy.volume())
+    rep = verify.check_concavity(copy, Direction.axis(3), "V")
+    assert not rep.passed and rep.measured > 1e-7
+    # a drop of the area at an inner edge breaks V as well
+    assert not verify.check_concavity(_slab_controls()["jump"], Direction.axis(3), "V").passed
+
+
+def test_check_concavity_V_fails_on_raised_profile_cut_volume(monkeypatch):
+    """On a cone the profile V test holds with equality at every knot;
+    the cut volume beyond the redundant knot raised by 1e-6 (relative)
+    breaks it."""
+    axis = Direction.axis(3)
+    assert abs(verify.check_concavity(REDUNDANT_KNOT_CONE, axis, "V").measured) <= 1e-15
+    integrals = bodies._lin_pow_integrals
+
+    def raised(*args):
+        i0, i1 = integrals(*args)
+        return i0 * (1.0 + 1e-6), i1
+
+    monkeypatch.setattr(bodies, "_lin_pow_integrals", raised)
+    rep = verify.check_concavity(REDUNDANT_KNOT_CONE, axis, "V")
+    assert not rep.passed and rep.measured == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_check_concavity_rejects_bad_which():
